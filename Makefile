@@ -12,14 +12,14 @@ test:
 # Exits 1 on any unsuppressed finding, 2 on infrastructure/usage errors.
 # The default tier is syntactic: parsetree heuristics, no build needed.
 lint:
-	dune exec bin/slp_lint.exe -- lib bin bench
+	dune exec bin/slp_lint.exe -- lib bin bench perfbench
 
 # Both tiers: the typed tier loads .cmt files from _build/default (hence
 # the @check build first) and adds alias-proof path resolution plus the
 # interprocedural analyses (rng-flow, pool-escape, decider-purity).
 lint-typed:
 	dune build @check
-	dune exec bin/slp_lint.exe -- --tier both --sarif _build/slp-lint.sarif lib bin bench
+	dune exec bin/slp_lint.exe -- --tier both --sarif _build/slp-lint.sarif lib bin bench perfbench
 
 # Full harness: every table/figure of the paper plus ablations (minutes).
 bench:

@@ -1187,9 +1187,8 @@ let ablation_das_validity () =
 (* ------------------------------------------------------------------ *)
 
 (* 1000 engine steps of the protectionless protocol on an ideal grid — the
-   mixed timer/broadcast workload; one instance per implementation so the
-   batched hot path is measured against the reference oracle. *)
-let engine_steps_test ~name ~impl ~counter grid11 =
+   mixed timer/broadcast workload. *)
+let engine_steps_test ~name ~counter grid11 =
   let open Bechamel in
   Test.make ~name
     (Staged.stage (fun () ->
@@ -1200,7 +1199,7 @@ let engine_steps_test ~name ~impl ~counter grid11 =
              ~sink:grid11.Slpdas_wsn.Topology.sink ~delta_ss:10 ~seed:!counter
          in
          let engine =
-           Slpdas_sim.Engine.create ~impl ~topology:grid11
+           Slpdas_sim.Engine.create ~topology:grid11
              ~link:Slpdas_sim.Link_model.Ideal
              ~rng:(Slpdas_util.Rng.create !counter)
              ~program:(Slpdas_core.Protocol.program config) ()
@@ -1288,10 +1287,7 @@ let micro () =
                     ~rng:(Slpdas_util.Rng.create !counter)
                     grid11.Slpdas_wsn.Topology.graph ~das:das11
                     ~search_distance:3 ~change_length:7)));
-        engine_steps_test ~name:"engine-1000-events" ~impl:Slpdas_sim.Engine.Fast
-          ~counter grid11;
-        engine_steps_test ~name:"engine-1000-events-ref"
-          ~impl:Slpdas_sim.Engine.Reference ~counter grid11;
+        engine_steps_test ~name:"engine-1000-events" ~counter grid11;
       ]
   in
   let ols =
@@ -1356,7 +1352,7 @@ let micro () =
     merged
 
 (* ------------------------------------------------------------------ *)
-(* Engine throughput: fast hot path vs reference oracle               *)
+(* Wave-flood workload (shared by the scale sections)                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Repeating flooder: node 0 starts a new network-wide wave every second and
@@ -1400,93 +1396,6 @@ let wave_program ~self =
   in
   ignore self;
   { Slpdas_gcn.init; actions = [ go; forward ]; spontaneous = [] }
-
-(* Best-of-k wall clock (the usual noise-robust estimator), after one
-   warm-up run.  Compacting between iterations keeps the major-heap state
-   left behind by earlier sections (and by the previous iteration) out of
-   the measured window. *)
-let best_of ~k f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to k do
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Float.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best
-
-let engine_bench () =
-  section "Engine throughput: fast hot path vs reference oracle";
-  let grid11 = Slpdas_wsn.Topology.grid 11 in
-  (* Wave flooding under the SNR link model: every broadcast samples one
-     Gaussian noise value per neighbour. *)
-  let wave impl () =
-    let engine =
-      Slpdas_sim.Engine.create ~impl ~topology:grid11
-        ~link:Slpdas_sim.Link_model.default_gaussian
-        ~rng:(Slpdas_util.Rng.create 1) ~program:wave_program ()
-    in
-    Slpdas_sim.Engine.run_until engine 60.0;
-    Slpdas_sim.Engine.broadcasts engine
-  in
-  (* The paper's own workload: the SLP protocol (timer-driven TDMA rounds,
-     setup floods, convergecast relays) on the Gaussian-noise grid, engine
-     only — no harness-side verification in the measurement. *)
-  let slp_protocol impl () =
-    let config =
-      Slpdas_exp.Params.protocol_config Slpdas_exp.Params.default
-        ~mode:Slpdas_core.Protocol.Slp ~sink:grid11.Slpdas_wsn.Topology.sink
-        ~delta_ss:10 ~seed:1
-    in
-    let engine =
-      Slpdas_sim.Engine.create ~impl ~topology:grid11
-        ~link:Slpdas_sim.Link_model.default_gaussian
-        ~rng:(Slpdas_util.Rng.create 1)
-        ~program:(Slpdas_core.Protocol.program config) ()
-    in
-    Slpdas_sim.Engine.run_until engine 3000.0;
-    Slpdas_sim.Engine.broadcasts engine
-  in
-  let measure name f =
-    let reference = best_of ~k:5 (f Slpdas_sim.Engine.Reference) in
-    let fast = best_of ~k:5 (f Slpdas_sim.Engine.Fast) in
-    (name, reference, fast)
-  in
-  let results =
-    [
-      measure "wave-flood gaussian 11x11 (60 s sim)" wave;
-      measure "SLP protocol gaussian 11x11 (3000 s sim)" slp_protocol;
-    ]
-  in
-  emit ~name:"engine_throughput"
-    ~header:[ "scenario"; "reference"; "fast"; "speedup" ]
-    (List.map
-       (fun (name, reference, fast) ->
-         [
-           name;
-           Printf.sprintf "%.1f ms" (1000. *. reference);
-           Printf.sprintf "%.1f ms" (1000. *. fast);
-           Printf.sprintf "%.2fx" (reference /. fast);
-         ])
-       results);
-  (try
-     if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755
-   with Sys_error _ -> ());
-  try
-    let oc = open_out (Filename.concat results_dir "BENCH_engine.json") in
-    output_string oc "{\n  \"unit\": \"seconds, best of 5\",\n  \"scenarios\": [\n";
-    List.iteri
-      (fun i (name, reference, fast) ->
-        Printf.fprintf oc
-          "    {\"name\": %S, \"reference_s\": %.6f, \"fast_s\": %.6f, \
-           \"speedup\": %.2f}%s\n"
-          name reference fast (reference /. fast)
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  ]\n}\n";
-    close_out oc
-  with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Scale: DAS build + attacker run vs grid size                       *)
@@ -1549,8 +1458,8 @@ let scale () =
             | Slpdas_core.Verifier.Captured { periods; _ } ->
               Printf.sprintf "captured@%d" periods
           in
-          (* Sharded engine run: wave flooding on the Fast impl, one engine
-             per spatial cell fanned out over the domain pool. *)
+          (* Sharded engine run: wave flooding, one engine per spatial cell
+             fanned out over the domain pool. *)
           let cells = max 1 (min 16 (dim / 50)) in
           let plan, plan_s =
             wall (fun () -> Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topology)
@@ -1815,7 +1724,6 @@ let () =
   ablation_das_validity ();
   if micro_mode then begin
     micro ();
-    timed "engine_bench" engine_bench;
     timed "scale" scale;
     timed "coupled_scale" coupled_scale
   end

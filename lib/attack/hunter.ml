@@ -4,7 +4,7 @@
    [(time, sender, message id)] — through {!step}, whether the events come
    live off an engine bus ({!attach}) or as a pure fold over a recorded
    stream ({!fold}).  The [Local] step is a line-for-line port of the
-   original hard-coded [Scenario.Hunter] so its traces stay bit-identical;
+   original hard-coded panda hunter so its traces stay bit-identical;
    the other classes extend the same skeleton: act at most once per message
    id (the [acted] table is the shared, mergeable observation history), move
    at most one hop per observation, record the capture time on reaching the

@@ -9,7 +9,7 @@
     replayed verdicts agree event-for-event.
 
     The [Model.Local] step is a bit-identical port of the original
-    [Scenario.Hunter]: same per-message-id dedup table, same audibility
+    hard-coded panda hunter: same per-message-id dedup table, same audibility
     check, same move/capture rule, same bus-event order. *)
 
 type t

@@ -108,7 +108,7 @@ module Hunter = struct
 
   (* Pure replay of the adversary zoo over an event stream: the shared
      per-class step rule of Slpdas_attack.Hunter, with no engine side
-     effects.  The default class reproduces the classic Scenario.Hunter
+     effects.  The default class reproduces the live local hunter's
      verdict — once captured the fold ignores the stream's tail, exactly
      as the stopped engine never produces one. *)
   let fold ?(cls = Slpdas_attack.Model.Local) ?(seed = 0) ?(positions = [||])
@@ -124,12 +124,12 @@ module Hunter = struct
     }
 end
 
-let capture ?domains ?impl ?(hunter = Slpdas_attack.Model.Local)
+let capture ?domains ?(hunter = Slpdas_attack.Model.Local)
     ?(hunter_seed = 0) plan ~link ~seed ~program ~until ~start ~source
     ~message_id () =
   let t = recorder () in
   let _, merged =
-    Shard.run_coupled ?domains ?impl ~monitor:(monitor t) plan ~link ~seed
+    Shard.run_coupled ?domains ~monitor:(monitor t) plan ~link ~seed
       ~program ~until
   in
   let graph = plan.Shard.base.Slpdas_wsn.Topology.graph in

@@ -37,7 +37,7 @@ val tap : ('s, 'm) Slpdas_sim.Engine.t -> unit -> 'm Slpdas_sim.Event.t array
     returns a thunk yielding everything recorded so far in emission order —
     the sequential twin of {!events} for differential checks. *)
 
-(** Pure replay of {!Slpdas_exp.Scenario.Hunter} over an event stream. *)
+(** Pure replay of the live {!Slpdas_attack.Hunter} over an event stream. *)
 module Hunter : sig
   type result = {
     location : int;  (** final position *)
@@ -63,7 +63,6 @@ end
 
 val capture :
   ?domains:int ->
-  ?impl:Slpdas_sim.Engine.impl ->
   ?hunter:Slpdas_attack.Model.cls ->
   ?hunter_seed:int ->
   Slpdas_sim.Shard.plan ->

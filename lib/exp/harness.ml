@@ -1,7 +1,6 @@
 let run_with_events (scenario : _ Scenario.t) =
   let engine =
-    Slpdas_sim.Engine.create ~impl:scenario.Scenario.engine_impl
-      ?airtime:scenario.Scenario.airtime
+    Slpdas_sim.Engine.create ?airtime:scenario.Scenario.airtime
       ~topology:scenario.Scenario.topology ~link:scenario.Scenario.link
       ~rng:(Slpdas_util.Rng.create scenario.Scenario.engine_seed)
       ~program:scenario.Scenario.program ()

@@ -1,7 +1,7 @@
 (** Discrete-event runs of the phantom-routing baseline ({!Slpdas_core.Phantom}),
     with the classic panda-hunter eavesdropper attached.
 
-    The attacker ({!Scenario.Hunter}) sits at the sink and, for every
+    The attacker ({!Slpdas_attack.Hunter}) sits at the sink and, for every
     {e distinct} message it has not yet acted on, moves to the sender of the
     first transmission of that message it hears — one hop per source
     message, the routing-layer equivalent of the paper's (1, 0, 1)
@@ -38,7 +38,7 @@ val scenario :
   config ->
   ( Slpdas_core.Phantom.state,
     Slpdas_core.Phantom.msg,
-    Scenario.Hunter.t,
+    Slpdas_attack.Hunter.t,
     result )
   Scenario.t
 (** Package a config as a scenario value; the hunter's moves appear as

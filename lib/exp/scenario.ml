@@ -3,7 +3,6 @@ type ('s, 'm, 'obs, 'r) t = {
   topology : Slpdas_wsn.Topology.t;
   link : Slpdas_sim.Link_model.t;
   airtime : float option;
-  engine_impl : Slpdas_sim.Engine.impl;
   engine_seed : int;
   program : self:int -> ('s, 'm) Slpdas_gcn.program;
   deadline : float;
@@ -13,15 +12,13 @@ type ('s, 'm, 'obs, 'r) t = {
   faults : (('s, 'm) Slpdas_sim.Engine.t -> unit) list;
 }
 
-let make ?(airtime = None) ?(engine_impl = Slpdas_sim.Engine.Fast)
-    ?(monitors = []) ?(faults = []) ~name ~topology ~link ~engine_seed
-    ~program ~deadline ~attach ~extract () =
+let make ?(airtime = None) ?(monitors = []) ?(faults = []) ~name ~topology
+    ~link ~engine_seed ~program ~deadline ~attach ~extract () =
   {
     name;
     topology;
     link;
     airtime;
-    engine_impl;
     engine_seed;
     program;
     deadline;
@@ -35,26 +32,5 @@ let with_monitor monitor t = { t with monitors = t.monitors @ [ monitor ] }
 
 let with_faults arm t = { t with faults = t.faults @ [ arm ] }
 
-let with_engine_impl impl t = { t with engine_impl = impl }
-
 let map_result f t =
   { t with extract = (fun engine obs -> f (t.extract engine obs)) }
-
-(* The hunter now lives in [Slpdas_attack.Hunter] as one of four adversary
-   classes sharing a single observation interface; this module keeps the
-   historical API as a thin delegate.  The default [?cls] is the paper's
-   local eavesdropper, whose step rule is a bit-identical port of the
-   original inline implementation. *)
-module Hunter = struct
-  type t = Slpdas_attack.Hunter.t
-
-  let attach ?(cls = Slpdas_attack.Model.Local) ?(seed = 0) ~start ~source
-      ~message_id engine =
-    Slpdas_attack.Hunter.attach cls ~start ~source ~seed ~message_id engine
-
-  let location = Slpdas_attack.Hunter.location
-
-  let path = Slpdas_attack.Hunter.path
-
-  let capture_time = Slpdas_attack.Hunter.capture_time
-end

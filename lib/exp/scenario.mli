@@ -21,9 +21,6 @@ type ('s, 'm, 'obs, 'r) t = {
   link : Slpdas_sim.Link_model.t;
   airtime : float option;
       (** destructive-interference modelling (see {!Slpdas_sim.Engine.create}) *)
-  engine_impl : Slpdas_sim.Engine.impl;
-      (** which engine implementation hosts the run; [Fast] unless the
-          scenario is being differentially checked against the reference *)
   engine_seed : int;
       (** seed for the engine's link-loss RNG, already salted per protocol
           family so families draw independent streams from the same run seed *)
@@ -54,7 +51,6 @@ type ('s, 'm, 'obs, 'r) t = {
 
 val make :
   ?airtime:float option ->
-  ?engine_impl:Slpdas_sim.Engine.impl ->
   ?monitors:(('s, 'm) Slpdas_sim.Engine.t -> unit) list ->
   ?faults:(('s, 'm) Slpdas_sim.Engine.t -> unit) list ->
   name:string ->
@@ -83,46 +79,6 @@ val with_faults :
   ('s, 'm, 'obs, 'r) t
 (** Append a fault arming hook (see the [faults] field). *)
 
-val with_engine_impl :
-  Slpdas_sim.Engine.impl -> ('s, 'm, 'obs, 'r) t -> ('s, 'm, 'obs, 'r) t
-(** Select the engine implementation (default [Fast]); the equivalence
-    tests rerun a scenario under [Reference] and compare observables. *)
-
 val map_result : ('r -> 'q) -> ('s, 'm, 'obs, 'r) t -> ('s, 'm, 'obs, 'q) t
 (** Post-compose the extractor — e.g. project a full result down to the
     fields a sweep aggregates. *)
-
-(** The mobile "panda-hunter" eavesdropper shared by the routing-layer
-    baselines, as a thin delegate to the adversary zoo
-    ({!Slpdas_attack.Hunter}).  The default class is the paper's single
-    local eavesdropper, bit-identical to the original inline hunter: one
-    move per distinct message, to the sender of the first transmission of
-    that message it hears (it hears its own node and its 1-hop
-    neighbours).  Stops the engine on reaching the source and emits
-    {!Slpdas_sim.Event.Attacker_move} for every move.  The MAC-layer DAS
-    scenarios use the richer {!Slpdas_core.Attacker} model instead. *)
-module Hunter : sig
-  type t = Slpdas_attack.Hunter.t
-
-  val attach :
-    ?cls:Slpdas_attack.Model.cls ->
-    ?seed:int ->
-    start:int ->
-    source:int ->
-    message_id:('m -> int option) ->
-    ('s, 'm) Slpdas_sim.Engine.t ->
-    t
-  (** Subscribe the hunter on the engine's event bus.  [message_id]
-      identifies distinct protocol messages; transmissions without an id
-      (setup chatter) are ignored.  [?cls] selects the adversary class
-      (default [Local]); [?seed] feeds only the seed-deterministic [Coop]
-      placement. *)
-
-  val location : t -> int
-
-  val path : t -> int list
-  (** Positions occupied, oldest first (starts with [start]). *)
-
-  val capture_time : t -> float option
-  (** Absolute simulation time at which the hunter reached the source. *)
-end

@@ -38,14 +38,14 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
       ~delta_ss ()
   in
   let attach engine =
-    Scenario.Hunter.attach ~cls:hunter ~seed:config.seed ~start:sink ~source
+    Slpdas_attack.Hunter.attach hunter ~start:sink ~source ~seed:config.seed
       ~message_id:Slpdas_core.Sector_phantom.message_id engine
   in
   let extract engine hunter =
     let capture_seconds =
       Option.map
         (fun t -> t -. protocol.Slpdas_core.Sector_phantom.start_time)
-        (Scenario.Hunter.capture_time hunter)
+        (Slpdas_attack.Hunter.capture_time hunter)
     in
     let source_state = Slpdas_sim.Engine.node_state engine source in
     let sink_state = Slpdas_sim.Engine.node_state engine sink in
@@ -55,7 +55,7 @@ let scenario ?(hunter = Slpdas_attack.Model.Local) config =
         | Some t -> t <= safety_seconds
         | None -> false);
       capture_seconds;
-      attacker_path = Scenario.Hunter.path hunter;
+      attacker_path = Slpdas_attack.Hunter.path hunter;
       messages_sent = Slpdas_sim.Engine.broadcasts engine;
       broadcasts_by_node = Slpdas_sim.Engine.broadcasts_by_node engine;
       duration_seconds = Slpdas_sim.Engine.time engine;

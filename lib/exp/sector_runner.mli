@@ -33,7 +33,7 @@ val scenario :
   config ->
   ( Slpdas_core.Sector_phantom.state,
     Slpdas_core.Sector_phantom.msg,
-    Scenario.Hunter.t,
+    Slpdas_attack.Hunter.t,
     result )
   Scenario.t
 

@@ -3,7 +3,6 @@ type config = {
   seed : int;
   mode : Slpdas_core.Protocol.mode;
   params : Slpdas_exp.Params.t;
-  impl : Slpdas_sim.Engine.impl;
   plan : Fault_plan.t;
   detect_after : float option;
   attacker : Slpdas_attack.Model.cls;
@@ -16,7 +15,6 @@ let default_config ?(mode = Slpdas_core.Protocol.Slp)
     seed;
     mode;
     params = Slpdas_exp.Params.default;
-    impl = Slpdas_sim.Engine.Fast;
     plan;
     detect_after = None;
     attacker;
@@ -359,7 +357,7 @@ let scenario config =
       duration_seconds = Slpdas_sim.Engine.time engine;
     }
   in
-  Slpdas_exp.Scenario.make ~engine_impl:config.impl
+  Slpdas_exp.Scenario.make
     ~faults:
       [
         (fun engine ->

@@ -19,7 +19,6 @@ type config = {
   seed : int;  (** master seed: salts protocol, engine and plan RNGs *)
   mode : Slpdas_core.Protocol.mode;
   params : Slpdas_exp.Params.t;
-  impl : Slpdas_sim.Engine.impl;
   plan : Fault_plan.t;
   detect_after : float option;
       (** failure-detection latency fed to {!Injector.arm}; default one
@@ -41,7 +40,7 @@ val default_config :
   seed:int ->
   Fault_plan.t ->
   config
-(** Table-I parameters, [Fast] engine, SLP mode, [Local] attacker. *)
+(** Table-I parameters, SLP mode, [Local] attacker. *)
 
 val churn_plan :
   params:Slpdas_exp.Params.t ->

@@ -1,14 +1,12 @@
 let propagation_delay = 0.001
 
-type impl = Fast | Reference
-
-(* Per-topology link-decision cache (Fast impl).  Built once at [create];
-   collapses a delivery decision to at most one RNG draw and a float
-   compare.  [rx_power] is one flat float array in CSR layout ([off] mirrors
-   the adjacency offsets), computed with exactly the float expression
-   [Link_model.delivered] uses, so verdicts are bit-identical to the
-   reference path — and a million-node topology costs one allocation, not
-   one per node. *)
+(* Per-topology link-decision cache.  Built once at [create]; collapses a
+   delivery decision to at most one RNG draw and a float compare.
+   [rx_power] is one flat float array in CSR layout ([off] mirrors the
+   adjacency offsets), computed with exactly the float expression
+   [Link_model.delivered] uses, so verdicts are bit-identical to sampling
+   the link model per reception — and a million-node topology costs one
+   allocation, not one per node. *)
 type link_cache =
   | Always_delivered
   | Never_delivered
@@ -48,12 +46,12 @@ type 'm coupling = {
 type ('s, 'm) event_kind =
   | Timer_fire of { node : int; timer : Slpdas_gcn.Timer.t; generation : int }
   | Deliver of { node : int; sender : int; msg : 'm }
-      (* Reference impl: one event per (broadcast × delivered neighbour). *)
+      (* One arrival: below the batch cutover and under coupling. *)
   | Deliver_batch of { sender : int; recipients : int array; msg : 'm }
-      (* Fast impl: one event per broadcast; [propagation_delay] is a
-         constant, so all of a broadcast's arrivals share one timestamp and
-         expand at pop time in adjacency order — the order the reference
-         impl pushes (and therefore pops) its singleton events in. *)
+      (* One event per broadcast above the batch cutover;
+         [propagation_delay] is a constant, so all of a broadcast's arrivals
+         share one timestamp and expand at pop time in adjacency order —
+         the order singleton events would be pushed (and popped) in. *)
   | Callback of (('s, 'm) t -> unit)
 
 and ('s, 'm) event = {
@@ -73,11 +71,8 @@ and ('s, 'm) event = {
 
 and ('s, 'm) t = {
   topology : Slpdas_wsn.Topology.t;
-  link : Link_model.t;
-  impl : impl;
   airtime : float option;
-  recent_broadcasts : (float * int) Queue.t;  (* Reference: global log *)
-  (* Fast + airtime: per-node audible-transmission log — v's own and its
+  (* Airtime only: per-node audible-transmission log — v's own and its
      neighbours' recent transmissions — so a jam check scans only candidates
      that could possibly match instead of folding the global log.  Laid out
      struct-of-arrays: ring buffers with unboxed time/sender rows and flat
@@ -93,8 +88,7 @@ and ('s, 'm) t = {
       (* kept so [revive_node] can boot a fresh instance for a crashed node *)
   instances : ('s, 'm) Slpdas_gcn.Instance.t array;
   queue : ('s, 'm) event Slpdas_util.Heap.t;
-  timer_generations : (int * string, int) Hashtbl.t;  (* Reference *)
-  (* Fast: timer generations as one flat int array of n × [gen_stride]
+  (* Timer generations as one flat int array of n × [gen_stride]
      slots, gens.((node * gen_stride) + Timer.id) — a single allocation
      sized once at [create] instead of an array per node.  The stride grows
      (all rows re-laid-out) in the rare case a program mints timer names
@@ -104,11 +98,11 @@ and ('s, 'm) t = {
   link_cache : link_cache;
   neighbours : int array array;  (* cached adjacency rows *)
   batch_deliveries : bool;
-      (* Fast: fold each broadcast's arrivals into one batch event.  A win
-         on large networks (fewer heap operations), but on small ones the
-         inflated per-event work loses to the reference's singleton events,
-         so below [default_batch_cutover] nodes the fast impl pushes
-         singletons too — same draws, same order, same observables. *)
+      (* Fold each broadcast's arrivals into one batch event.  A win on
+         large networks (fewer heap operations), but on small ones the
+         inflated per-event work loses to singleton events, so at or below
+         [batch_cutover] nodes the engine pushes singletons — same draws,
+         same order, same observables. *)
   scratch : int array;  (* delivered-recipient staging, max-degree sized *)
   mutable now : float;
   mutable next_seq : int;
@@ -124,7 +118,7 @@ and ('s, 'm) t = {
       (* fault layer: network-wide extra loss probability; 0 = inactive *)
   coupling : 'm coupling option;
   port_rx : float array;
-      (* Fast + Gaussian + coupling: precomputed rx power for each boundary
+      (* Gaussian + coupling: precomputed rx power for each boundary
          port, aligned with [ports_target]; same float expression as the
          local link cache, so cut-edge verdicts are bit-identical to the
          unsharded engine's. *)
@@ -227,14 +221,12 @@ let global_loss t = t.global_loss
 let faults_active t =
   t.global_loss > 0.0 || Hashtbl.length t.link_overrides > 0
 
-(* Fault-layer delivery filter, consulted only when the base link model
-   delivered and some override is active, so fault-free runs draw exactly
-   the RNG sequence they always did.  Both impls call this per neighbour in
-   adjacency order at broadcast time, which keeps Fast and Reference
-   draw-identical under faults.  [Rng.bernoulli] consumes no randomness for
-   degenerate probabilities, so a hard link-down (loss = 1) costs no draw,
-   and an edge-override drop short-circuits the global draw in both impls
-   alike. *)
+(* Fault-layer delivery filter, consulted per neighbour in adjacency order
+   at broadcast time, only when the base link model delivered and some
+   override is active, so fault-free runs draw exactly the RNG sequence
+   they always did.  [Rng.bernoulli] consumes no randomness for degenerate
+   probabilities, so a hard link-down (loss = 1) costs no draw, and an
+   edge-override drop short-circuits the global draw. *)
 let fault_dropped t rng u v =
   (match Hashtbl.find_opt t.link_overrides (link_key u v) with
   | Some p -> Slpdas_util.Rng.bernoulli rng p
@@ -279,22 +271,12 @@ let schedule t ~at f =
   push t ~at (Callback f);
   t.cur_src <- prev
 
-(* Reference timer bookkeeping: a string-keyed hashtable probe per
-   operation, kept verbatim as the differential-testing baseline. *)
-let ref_timer_generation t node timer =
-  Option.value ~default:0
-    (Hashtbl.find_opt t.timer_generations (node, Slpdas_gcn.Timer.name timer))
-
-let ref_bump_timer_generation t node timer =
-  let g = ref_timer_generation t node timer + 1 in
-  Hashtbl.replace t.timer_generations (node, Slpdas_gcn.Timer.name timer) g;
-  g
-
-(* Fast timer bookkeeping: one flat array indexed by (node, interned timer
-   id).  The stride starts sized to the intern registry and grows (amortised
+(* Timer bookkeeping: one flat array indexed by (node, interned timer id).
+   The stride starts sized to the intern registry and grows (amortised
    doubling, all rows re-laid-out) when a program mints timer names
    mid-run. *)
-let fast_timer_generation t node id =
+let timer_generation t node timer =
+  let id = Slpdas_gcn.Timer.id timer in
   if id < t.gen_stride then t.gens.((node * t.gen_stride) + id) else 0
 
 let grow_gen_stride t want =
@@ -307,39 +289,15 @@ let grow_gen_stride t want =
   t.gens <- gens';
   t.gen_stride <- stride'
 
-let fast_bump_timer_generation t node id =
+let bump_timer_generation t node timer =
+  let id = Slpdas_gcn.Timer.id timer in
   if id >= t.gen_stride then grow_gen_stride t (id + 1);
   let i = (node * t.gen_stride) + id in
   let g = t.gens.(i) + 1 in
   t.gens.(i) <- g;
   g
 
-let timer_generation t node timer =
-  match t.impl with
-  | Fast -> fast_timer_generation t node (Slpdas_gcn.Timer.id timer)
-  | Reference -> ref_timer_generation t node timer
-
-let bump_timer_generation t node timer =
-  match t.impl with
-  | Fast -> fast_bump_timer_generation t node (Slpdas_gcn.Timer.id timer)
-  | Reference -> ref_bump_timer_generation t node timer
-
-let distance t u v =
-  let x1, y1 = t.topology.Slpdas_wsn.Topology.positions.(u)
-  and x2, y2 = t.topology.Slpdas_wsn.Topology.positions.(v) in
-  sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
-
-let prune_queue q ~horizon =
-  let rec prune () =
-    match Queue.peek_opt q with
-    | Some (time, _) when time < horizon ->
-      ignore (Queue.pop q);
-      prune ()
-    | Some _ | None -> ()
-  in
-  prune ()
-
-(* Audible-log ring-buffer primitives (Fast + airtime). *)
+(* Audible-log ring-buffer primitives (airtime only). *)
 let aud_push t v ~time ~sender =
   let cap = Array.length t.aud_time.(v) in
   if t.aud_len.(v) = cap then begin
@@ -376,55 +334,37 @@ let record_broadcast t node =
   | None -> ()
   | Some airtime ->
     let horizon = t.now -. airtime -. (4.0 *. propagation_delay) in
-    (match t.impl with
-    | Reference ->
-      Queue.add (t.now, node) t.recent_broadcasts;
-      prune_queue t.recent_broadcasts ~horizon
-    | Fast ->
-      (* Fan the entry out to every position it is audible at (the sender's
-         own — radios are half-duplex — and each neighbour's). *)
-      aud_push t node ~time:t.now ~sender:node;
-      aud_prune t node ~horizon;
-      Array.iter
-        (fun v ->
-          aud_push t v ~time:t.now ~sender:node;
-          aud_prune t v ~horizon)
-        t.neighbours.(node))
+    (* Fan the entry out to every position it is audible at (the sender's
+       own — radios are half-duplex — and each neighbour's). *)
+    aud_push t node ~time:t.now ~sender:node;
+    aud_prune t node ~horizon;
+    Array.iter
+      (fun v ->
+        aud_push t v ~time:t.now ~sender:node;
+        aud_prune t v ~horizon)
+      t.neighbours.(node)
 
 (* A reception at [node] of a transmission sent at [tx_time] is jammed when
    any other audible transmission overlaps it (half-duplex: the receiver's
-   own transmissions jam too).  The fast path scans only the transmissions
-   audible at [node] and early-exits on the first overlap; entries the
-   reference path would already have pruned from its global log are at least
-   [airtime + 3·propagation_delay] older than any [tx_time] checked after
-   them, so a lazily-pruned per-node queue never flips a verdict. *)
+   own transmissions jam too).  Only the transmissions audible at [node]
+   are scanned, with an early exit on the first overlap; pruned entries are
+   at least [airtime + 3·propagation_delay] older than any [tx_time] checked
+   after them, so lazy pruning never flips a verdict. *)
 let jammed t ~node ~sender ~tx_time =
   match t.airtime with
   | None -> false
-  | Some airtime -> (
-    match t.impl with
-    | Reference ->
-      let graph = t.topology.Slpdas_wsn.Topology.graph in
-      Queue.fold
-        (fun acc (time, other) ->
-          acc
-          || (other <> sender
-             && abs_float (time -. tx_time) < airtime
-             && (other = node || Slpdas_wsn.Graph.mem_edge graph node other)))
-        false t.recent_broadcasts
-    | Fast ->
-      let times = t.aud_time.(node) and senders = t.aud_sender.(node) in
-      let cap = Array.length times in
-      let head = t.aud_head.(node) and len = t.aud_len.(node) in
-      let rec scan i =
-        i < len
-        &&
-        let idx = (head + i) mod cap in
-        (senders.(idx) <> sender
-        && abs_float (times.(idx) -. tx_time) < airtime)
-        || scan (i + 1)
-      in
-      scan 0)
+  | Some airtime ->
+    let times = t.aud_time.(node) and senders = t.aud_sender.(node) in
+    let cap = Array.length times in
+    let head = t.aud_head.(node) and len = t.aud_len.(node) in
+    let rec scan i =
+      i < len
+      &&
+      let idx = (head + i) mod cap in
+      (senders.(idx) <> sender && abs_float (times.(idx) -. tx_time) < airtime)
+      || scan (i + 1)
+    in
+    scan 0
 
 let rec apply_effects t node effects =
   (* Every push below is attributed to [node]'s key lane; restored on exit
@@ -443,35 +383,12 @@ let rec apply_effects t node effects =
         let faults = faults_active t in
         match t.coupling with
         | Some c -> coupled_broadcast t c node msg ~faults
-        | None -> (
-        match t.impl with
-        | Reference ->
-          Array.iter
-            (fun v ->
-              if
-                Link_model.delivered t.link t.rng
-                  ~distance_m:(distance t node v)
-                && not (faults && fault_dropped t t.rng node v)
-              then
-                push t
-                  ~at:(t.now +. propagation_delay)
-                  (Deliver { node = v; sender = node; msg })
-              else begin
-                Event.count_drop t.tally ~collision:false ~time:t.now;
-                if listening t then
-                  notify t
-                    (Event.Drop
-                       { time = t.now; node = v; sender = node; collision = false })
-              end)
-            (Slpdas_wsn.Graph.neighbours t.topology.Slpdas_wsn.Topology.graph
-               node)
-        | Fast ->
-          (* RNG draws happen here, eagerly, in adjacency order — exactly
-             the reference draw sequence — and drops are counted at
-             broadcast time like the reference path.  Only the delivery
-             *arrivals* are deferred; above the batch cutover as one batch
-             event, below it as singleton events pushed in the reference's
-             own order (so small runs skip the batch-expansion overhead). *)
+        | None ->
+          (* RNG draws happen here, eagerly, in adjacency order, and drops are
+             counted at broadcast time.  Only the delivery *arrivals* are
+             deferred; above the batch cutover as one batch event, below it
+             as singleton events pushed in adjacency order (so small runs
+             skip the batch-expansion overhead). *)
           let nbrs = t.neighbours.(node) in
           let deg = Array.length nbrs in
           let batch = t.batch_deliveries in
@@ -484,9 +401,8 @@ let rec apply_effects t node effects =
                 (Event.Drop
                    { time = t.now; node = v; sender = node; collision = false })
           in
-          (* [keep] runs the fault layer after the base verdict, mirroring
-             the reference path's [&&] exactly (same conditional draws, same
-             adjacency order). *)
+          (* [keep] runs the fault layer after the base verdict (conditional
+             draws, adjacency order). *)
           let keep v =
             if faults && fault_dropped t t.rng node v then drop v
             else if batch then begin
@@ -526,7 +442,7 @@ let rec apply_effects t node effects =
             push t
               ~at:(t.now +. propagation_delay)
               (Deliver_batch
-                 { sender = node; recipients = Array.sub scratch 0 !count; msg })))
+                 { sender = node; recipients = Array.sub scratch 0 !count; msg }))
       | Slpdas_gcn.Set_timer { timer; after } ->
         let generation = bump_timer_generation t node timer in
         push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
@@ -550,7 +466,6 @@ and coupled_broadcast t c node msg ~faults =
   let p_lo = c.ports_off.(node) and p_hi = c.ports_off.(node + 1) in
   let total = Array.length nbrs + (p_hi - p_lo) in
   let at = t.now +. propagation_delay in
-  let x1, y1 = t.topology.Slpdas_wsn.Topology.positions.(node) in
   let drop gv =
     Event.count_drop t.tally ~collision:false ~time:t.now;
     if listening t then
@@ -565,23 +480,15 @@ and coupled_broadcast t c node msg ~faults =
       incr pi;
       let target = Array.unsafe_get c.ports_target i in
       let delivered =
-        match t.impl with
-        | Reference ->
-          Link_model.delivered t.link lane
-            ~distance_m:
-              (sqrt
-                 (((x1 -. c.ports_x.(i)) ** 2.0)
-                 +. ((y1 -. c.ports_y.(i)) ** 2.0)))
-        | Fast -> (
-          match t.link_cache with
-          | Always_delivered -> true
-          | Never_delivered -> false
-          | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli lane p)
-          | Gaussian_rx { noise_mean; noise_std; snr_threshold; _ } ->
-            let noise =
-              Slpdas_util.Rng.gaussian lane ~mean:noise_mean ~std:noise_std
-            in
-            Array.unsafe_get t.port_rx i -. noise >= snr_threshold)
+        match t.link_cache with
+        | Always_delivered -> true
+        | Never_delivered -> false
+        | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli lane p)
+        | Gaussian_rx { noise_mean; noise_std; snr_threshold; _ } ->
+          let noise =
+            Slpdas_util.Rng.gaussian lane ~mean:noise_mean ~std:noise_std
+          in
+          Array.unsafe_get t.port_rx i -. noise >= snr_threshold
       in
       if not delivered then drop target
       else if
@@ -606,21 +513,16 @@ and coupled_broadcast t c node msg ~faults =
       incr li;
       let v = Array.unsafe_get nbrs l in
       let delivered =
-        match t.impl with
-        | Reference ->
-          Link_model.delivered t.link lane ~distance_m:(distance t node v)
-        | Fast -> (
-          match t.link_cache with
-          | Always_delivered -> true
-          | Never_delivered -> false
-          | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli lane p)
-          | Gaussian_rx { noise_mean; noise_std; snr_threshold; off; rx_power }
-            ->
-            let noise =
-              Slpdas_util.Rng.gaussian lane ~mean:noise_mean ~std:noise_std
-            in
-            Array.unsafe_get rx_power (Array.unsafe_get off node + l) -. noise
-            >= snr_threshold)
+        match t.link_cache with
+        | Always_delivered -> true
+        | Never_delivered -> false
+        | Bernoulli_loss p -> not (Slpdas_util.Rng.bernoulli lane p)
+        | Gaussian_rx { noise_mean; noise_std; snr_threshold; off; rx_power } ->
+          let noise =
+            Slpdas_util.Rng.gaussian lane ~mean:noise_mean ~std:noise_std
+          in
+          Array.unsafe_get rx_power (Array.unsafe_get off node + l) -. noise
+          >= snr_threshold
       in
       if not delivered then drop c.global_ids.(v)
       else if faults && fault_dropped t lane node v then drop c.global_ids.(v)
@@ -645,19 +547,11 @@ let fail_node t v =
        The fires would be swallowed by the [inject] failure guard anyway,
        but cancelling keeps them out of the event counts and lets the queue
        drain.  A bump never un-stales a pending fire (generations only
-       grow), so Fast and Reference — whose stored generation values may
-       differ for timers the node never armed — still agree on every
-       staleness verdict. *)
-    (match t.impl with
-    | Fast ->
-      let base = v * t.gen_stride in
-      for i = base to base + t.gen_stride - 1 do
-        t.gens.(i) <- t.gens.(i) + 1
-      done
-    | Reference ->
-      Hashtbl.filter_map_inplace
-        (fun (node, _) g -> if node = v then Some (g + 1) else Some g)
-        t.timer_generations);
+       grow), so bumping timers the node never armed is harmless. *)
+    let base = v * t.gen_stride in
+    for i = base to base + t.gen_stride - 1 do
+      t.gens.(i) <- t.gens.(i) + 1
+    done;
     emit t (Event.Node_failed { time = t.now; node = gid t v })
   end
 
@@ -669,7 +563,7 @@ let revive_node t v =
     (* The node rejoins as a fresh boot: crash-stop wiped its volatile
        state, so a brand-new instance runs [init] (and its spontaneous
        fixpoint) at the current time.  In-flight deliveries queued before
-       the crash reach the fresh instance — identically in both impls. *)
+       the crash reach the fresh instance. *)
     let self = gid t v in
     let instance, effects =
       Slpdas_gcn.Instance.create (t.program ~self) ~self
@@ -679,55 +573,53 @@ let revive_node t v =
     apply_effects t v effects
   end
 
-let build_link_cache ~impl ~topology ~link ~neighbours =
-  match impl with
-  | Reference -> Always_delivered (* unused *)
-  | Fast -> (
-    match Link_model.prepare link with
-    | Link_model.Static true -> Always_delivered
-    | Link_model.Static false -> Never_delivered
-    | Link_model.Bernoulli p -> Bernoulli_loss p
-    | Link_model.Snr { noise_mean_dbm; noise_std_dbm; snr_threshold_db; rx_power_dbm }
-      ->
-      let positions = topology.Slpdas_wsn.Topology.positions in
-      let n = Array.length neighbours in
-      let off = Array.make (n + 1) 0 in
-      for u = 0 to n - 1 do
-        off.(u + 1) <- off.(u) + Array.length neighbours.(u)
-      done;
-      let rx_power = Array.make off.(n) 0.0 in
-      Array.iteri
-        (fun u row ->
-          let x1, y1 = positions.(u) in
-          let base = off.(u) in
-          Array.iteri
-            (fun i v ->
-              (* Evaluated once per directed edge instead of once per
-                 reception; the distance expression matches [distance]. *)
-              let x2, y2 = positions.(v) in
-              let distance_m =
-                sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
-              in
-              rx_power.(base + i) <- rx_power_dbm ~distance_m)
-            row)
-        neighbours;
-      Gaussian_rx
-        {
-          noise_mean = noise_mean_dbm;
-          noise_std = noise_std_dbm;
-          snr_threshold = snr_threshold_db;
-          off;
-          rx_power;
-        })
+(* Euclidean distance between node positions: the radio range the link
+   physics sees. *)
+let distance_m (x1, y1) (x2, y2) =
+  sqrt (((x1 -. x2) ** 2.0) +. ((y1 -. y2) ** 2.0))
 
-(* Below this node count the fast impl pushes singleton delivery events
-   (reference order); above it, one batch event per broadcast.  Chosen so
-   the paper-scale grids (11x11 … 21x21) take the lighter small-run path
-   while anything approaching the ROADMAP's large deployments batches. *)
-let default_batch_cutover = 1024
+let build_link_cache ~topology ~link ~neighbours =
+  match Link_model.prepare link with
+  | Link_model.Static true -> Always_delivered
+  | Link_model.Static false -> Never_delivered
+  | Link_model.Bernoulli p -> Bernoulli_loss p
+  | Link_model.Snr { noise_mean_dbm; noise_std_dbm; snr_threshold_db; rx_power_dbm }
+    ->
+    let positions = topology.Slpdas_wsn.Topology.positions in
+    let n = Array.length neighbours in
+    let off = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      off.(u + 1) <- off.(u) + Array.length neighbours.(u)
+    done;
+    let rx_power = Array.make off.(n) 0.0 in
+    Array.iteri
+      (fun u row ->
+        let base = off.(u) in
+        Array.iteri
+          (fun i v ->
+            (* Evaluated once per directed edge instead of once per
+               reception. *)
+            rx_power.(base + i) <-
+              rx_power_dbm ~distance_m:(distance_m positions.(u) positions.(v)))
+          row)
+      neighbours;
+    Gaussian_rx
+      {
+        noise_mean = noise_mean_dbm;
+        noise_std = noise_std_dbm;
+        snr_threshold = snr_threshold_db;
+        off;
+        rx_power;
+      }
 
-let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
-    ?coupling ~topology ~link ~rng ~program () =
+(* Above this node count each broadcast's arrivals are one batch event; at
+   or below it, singleton delivery events.  Chosen so the paper-scale grids
+   (11x11 … 21x21) take the lighter small-run path while anything
+   approaching the ROADMAP's large deployments batches.  The two regimes
+   are observably identical — the cutover trades constant factors only. *)
+let batch_cutover = 1024
+
+let create ?airtime ?coupling ~topology ~link ~rng ~program () =
   let graph = topology.Slpdas_wsn.Topology.graph in
   let n = Slpdas_wsn.Graph.n graph in
   (match (coupling, airtime) with
@@ -760,75 +652,57 @@ let create ?(impl = Fast) ?(batch_cutover = default_batch_cutover) ?airtime
         let self = self_of v in
         Slpdas_gcn.Instance.create (program ~self) ~self)
   in
-  (* Cut-edge rx powers for the Fast Gaussian path, computed with the same
+  (* Cut-edge rx powers for the Gaussian model, computed with the same
      float expression as the local link cache so boundary verdicts match the
      unsharded engine's bit-for-bit. *)
   let port_rx =
-    match (impl, coupling) with
-    | Fast, Some c -> (
+    match coupling with
+    | None -> [||]
+    | Some c -> (
       match Link_model.prepare link with
       | Link_model.Static _ | Link_model.Bernoulli _ -> [||]
       | Link_model.Snr { rx_power_dbm; _ } ->
         let positions = topology.Slpdas_wsn.Topology.positions in
         let pr = Array.make (Array.length c.ports_target) 0.0 in
         for u = 0 to n - 1 do
-          let x1, y1 = positions.(u) in
           for i = c.ports_off.(u) to c.ports_off.(u + 1) - 1 do
             pr.(i) <-
               rx_power_dbm
                 ~distance_m:
-                  (sqrt
-                     (((x1 -. c.ports_x.(i)) ** 2.0)
-                     +. ((y1 -. c.ports_y.(i)) ** 2.0)))
+                  (distance_m positions.(u) (c.ports_x.(i), c.ports_y.(i)))
           done
         done;
         pr)
-    | _ -> [||]
   in
   let neighbours = Array.init n (Slpdas_wsn.Graph.neighbours graph) in
   let max_degree =
     Array.fold_left (fun acc row -> max acc (Array.length row)) 0 neighbours
   in
   let timer_slots = max 1 (Slpdas_gcn.Timer.count ()) in
-  let fast_airtime =
-    match (impl, airtime) with Fast, Some _ -> true | _ -> false
-  in
+  let logged = Option.is_some airtime in
   let t =
     {
       topology;
-      link;
-      impl;
       airtime;
-      recent_broadcasts = Queue.create ();
       aud_time =
-        (if fast_airtime then Array.init n (fun _ -> Array.make 8 0.0)
-         else [||]);
+        (if logged then Array.init n (fun _ -> Array.make 8 0.0) else [||]);
       aud_sender =
-        (if fast_airtime then Array.init n (fun _ -> Array.make 8 0) else [||]);
-      aud_head = (if fast_airtime then Array.make n 0 else [||]);
-      aud_len = (if fast_airtime then Array.make n 0 else [||]);
+        (if logged then Array.init n (fun _ -> Array.make 8 0) else [||]);
+      aud_head = (if logged then Array.make n 0 else [||]);
+      aud_len = (if logged then Array.make n 0 else [||]);
       rng;
       program;
       instances = Array.map fst boot;
       queue;
-      timer_generations =
-        (* Reference-oracle bookkeeping only; Fast uses the flat gens rows.
-           (* slp-lint: allow hot-path-hashtbl *) *)
-        Hashtbl.create (match impl with Reference -> 4 * n | Fast -> 1);
-      gens =
-        (match impl with
-        | Fast -> Array.make (n * timer_slots) 0
-        | Reference -> [||]);
-      gen_stride = (match impl with Fast -> timer_slots | Reference -> 0);
-      link_cache = build_link_cache ~impl ~topology ~link ~neighbours;
+      gens = Array.make (n * timer_slots) 0;
+      gen_stride = timer_slots;
+      link_cache = build_link_cache ~topology ~link ~neighbours;
       neighbours;
       batch_deliveries =
         (* Coupled engines never batch: a batch event would carry only its
            first delivery's stable key, breaking the schedule-independent
            interleave with other senders' events. *)
-        (match (impl, coupling) with
-        | Fast, None -> n > batch_cutover
-        | _ -> false);
+        Option.is_none coupling && n > batch_cutover;
       scratch = Array.make max_degree 0;
       now = 0.0;
       next_seq = 0;
@@ -905,8 +779,8 @@ let process t event =
     deliver_one t ~node ~sender ~tx_time:(t.now -. propagation_delay) msg
   | Deliver_batch { sender; recipients; msg } ->
     (* Expand in push (= adjacency) order.  [halted] is re-checked between
-       recipients because the reference impl's singleton events would stop
-       being popped as soon as a subscriber called [stop]. *)
+       recipients because singleton events would stop being popped as soon
+       as a subscriber called [stop]. *)
     let tx_time = t.now -. propagation_delay in
     let k = Array.length recipients in
     let i = ref 0 in

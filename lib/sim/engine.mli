@@ -18,19 +18,14 @@
     type; all nodes run programs over the same state and message types. *)
 
 type ('s, 'm) t
-
-(** Engine implementation selector.
-
-    [Fast] (the default) runs the precomputation-and-batching hot path: a
-    per-topology link cache built at {!create} (delivery = one RNG draw and
-    a compare), per-node [int array] timer generations indexed by interned
-    {!Slpdas_gcn.Timer} ids, and one arrival event per broadcast expanded at
-    pop time.  [Reference] runs the original per-neighbour-event,
-    string-keyed implementation.  The two are observably equivalent — same
-    RNG draw sequence, same event ordering, same counters, states and
-    schedules — which the test suite enforces differentially; [Reference]
-    exists as that oracle and as the benchmark baseline. *)
-type impl = Fast | Reference
+(** The engine precomputes what it can: a per-topology link cache built at
+    {!create} (a delivery verdict is at most one RNG draw and a compare),
+    flat timer-generation rows indexed by interned {!Slpdas_gcn.Timer} ids,
+    and, on networks above 1024 nodes, one arrival event per broadcast
+    expanded at pop time.  None of this is observable: the test suite
+    checks every event, counter, state and trace against a spec-level
+    oracle engine (one event per delivered neighbour, string-keyed timers,
+    a global airtime log). *)
 
 val propagation_delay : float
 (** Uniform link latency in seconds between a transmission and its arrivals.
@@ -69,17 +64,7 @@ type 'm coupling = {
   send : at:float -> src:int -> sseq:int -> target:int -> msg:'m -> unit;
 }
 
-val default_batch_cutover : int
-(** Node count above which the [Fast] impl folds each broadcast's arrivals
-    into one batch event; at or below it, singleton delivery events are
-    pushed in the [Reference] impl's own order, so small (paper-scale) runs
-    skip the batch bookkeeping that only pays off on large networks.  The
-    two regimes are observably identical — the cutover trades constant
-    factors only. *)
-
 val create :
-  ?impl:impl ->
-  ?batch_cutover:int ->
   ?airtime:float ->
   ?coupling:'m coupling ->
   topology:Slpdas_wsn.Topology.t ->
@@ -92,11 +77,6 @@ val create :
     node [v] at time 0 and queues their boot effects.  [rng] drives link-loss
     sampling only; protocol-level randomness belongs in the programs
     themselves.
-
-    [batch_cutover] (default {!default_batch_cutover}) selects the [Fast]
-    impl's delivery regime by node count; tests pass [~batch_cutover:0] to
-    force batching on small topologies so the differential oracle covers
-    both regimes.
 
     [airtime] enables destructive-interference modelling: each transmission
     occupies the channel for [airtime] seconds, and a reception at [v] is
@@ -198,8 +178,7 @@ val node_failed : ('s, 'm) t -> int -> bool
     (or, via {!set_global_loss}, for every delivery).  The layer is
     consulted only after the base model delivers and only while at least
     one override is active, so fault-free runs consume exactly the RNG
-    draws they always did — the engine-equivalence contract extends to
-    runs with faults. *)
+    draws they always did. *)
 
 val set_link_loss : ('s, 'm) t -> a:int -> b:int -> float -> unit
 (** [set_link_loss t ~a ~b p] makes deliveries on the (undirected) edge
@@ -220,11 +199,10 @@ val set_global_loss : ('s, 'm) t -> float -> unit
 val global_loss : ('s, 'm) t -> float
 
 val step : ('s, 'm) t -> bool
-(** Process the next event.  [false] iff the queue was empty.  Under the
-    [Fast] impl all of a broadcast's arrivals form one batch event, so a
-    single [step] may process several receptions that the [Reference] impl
-    spreads over as many steps; {!run_until}-driven outcomes are
-    unaffected. *)
+(** Process the next event.  [false] iff the queue was empty.  Above 1024
+    nodes all of a broadcast's arrivals form one batch event, so a single
+    [step] may process several receptions; {!run_until}-driven outcomes do
+    not depend on this. *)
 
 val run_until : ('s, 'm) t -> float -> unit
 (** [run_until t deadline] processes events with time ≤ [deadline] (or until

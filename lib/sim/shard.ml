@@ -204,8 +204,7 @@ let plan ~cells_x ~cells_y (base : Topology.t) =
 let boundary_nodes plan =
   Array.fold_left (fun acc c -> acc + c.boundary_nodes) 0 plan.cells
 
-let run ?domains ?(impl = Engine.Fast) ?batch_cutover ?airtime plan ~link ~seed
-    ~program ~until =
+let run ?domains ?airtime plan ~link ~seed ~program ~until =
   (* Per-cell RNG streams are split off in cell order, before any fan-out,
      so they do not depend on the pool size or on scheduling. *)
   let master = Slpdas_util.Rng.create seed in
@@ -218,8 +217,7 @@ let run ?domains ?(impl = Engine.Fast) ?batch_cutover ?airtime plan ~link ~seed
         Slpdas_util.Pool.map pool
           (fun (cell, rng) ->
             let e =
-              Engine.create ~impl ?batch_cutover ?airtime
-                ~topology:cell.topology ~link ~rng
+              Engine.create ?airtime ~topology:cell.topology ~link ~rng
                 ~program:(fun ~self -> program ~cell ~self)
                 ()
             in
@@ -257,7 +255,7 @@ let lanes_of_seed ~n seed =
    comes from a lane); the argument exists only to satisfy [create]. *)
 let unused_rng () = Slpdas_util.Rng.create 0
 
-let sequential_engine ?(impl = Engine.Fast) ~topology ~link ~seed ~program () =
+let sequential_engine ~topology ~link ~seed ~program () =
   let n = Graph.n topology.Topology.graph in
   let coupling =
     {
@@ -271,10 +269,10 @@ let sequential_engine ?(impl = Engine.Fast) ~topology ~link ~seed ~program () =
       send = (fun ~at:_ ~src:_ ~sseq:_ ~target:_ ~msg:_ -> ());
     }
   in
-  Engine.create ~impl ~coupling ~topology ~link ~rng:(unused_rng ()) ~program ()
+  Engine.create ~coupling ~topology ~link ~rng:(unused_rng ()) ~program ()
 
-let run_coupled ?domains ?(impl = Engine.Fast) ?arm ?monitor ?inspect plan
-    ~link ~seed ~program ~until =
+let run_coupled ?domains ?arm ?monitor ?inspect plan ~link ~seed ~program
+    ~until =
   let n = Graph.n plan.base.Topology.graph in
   let positions = plan.base.Topology.positions in
   let lanes_all = lanes_of_seed ~n seed in
@@ -310,7 +308,7 @@ let run_coupled ?domains ?(impl = Engine.Fast) ?arm ?monitor ?inspect plan
             ports_x.(i) <- x;
             ports_y.(i) <- y)
           cell.ports_target;
-        Engine.create ~impl
+        Engine.create
           ~coupling:
             {
               Engine.global_ids = cell.nodes;

@@ -83,8 +83,6 @@ val boundary_nodes : plan -> int
 
 val run :
   ?domains:int ->
-  ?impl:Engine.impl ->
-  ?batch_cutover:int ->
   ?airtime:float ->
   plan ->
   link:Link_model.t ->
@@ -106,7 +104,6 @@ val counters_json : Event.counters array -> Event.counters -> string
     multi-domain against single-domain runs. *)
 
 val sequential_engine :
-  ?impl:Engine.impl ->
   topology:Slpdas_wsn.Topology.t ->
   link:Link_model.t ->
   seed:int ->
@@ -122,7 +119,6 @@ val sequential_engine :
 
 val run_coupled :
   ?domains:int ->
-  ?impl:Engine.impl ->
   ?arm:(cell:cell -> ('s, 'm) Engine.t -> unit) ->
   ?monitor:(cell:cell -> ('s, 'm) Engine.t -> unit) ->
   ?inspect:(cell:cell -> ('s, 'm) Engine.t -> unit) ->

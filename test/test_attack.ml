@@ -114,8 +114,7 @@ let live_run ?(dim = 6) ?(seed = 42) ?(until = 14.0) ~cls ~hunter_seed link =
   let n = Graph.n topology.Topology.graph in
   let start = n - 1 and source = 0 in
   let e =
-    Shard.sequential_engine ~impl:Engine.Fast ~topology ~link ~seed
-      ~program:wave_program ()
+    Shard.sequential_engine ~topology ~link ~seed ~program:wave_program ()
   in
   let stream = Coupled.tap e in
   let live =

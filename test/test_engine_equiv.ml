@@ -1,8 +1,13 @@
-(* Differential tests: the fast engine implementation against the reference
-   oracle (Engine.Reference).  For the same topology, program and seeds, the
-   two implementations must be observably indistinguishable — identical
-   event counters, per-node broadcast counts, final node states and capture
-   outcomes — for every link model and every scenario family. *)
+(* Differential tests: the engine against a spec-level oracle
+   (Engine_spec, in this directory).  For the same topology, program, seeds
+   and harness callbacks, the two must be observably indistinguishable: the
+   full event stream, the event counters, per-node broadcast counts, final
+   node states, fired traces and every state a periodic harness probe reads
+   — for every link model, with and without airtime, under faults and when
+   a subscriber stops the run.  Programs run on networks on both sides of
+   the engine's 1024-node batch cutover, so singleton and batched delivery
+   are both held to the oracle.  The sharding sections then check sharded
+   and coupled runs against the single engine. *)
 
 module Topology = Slpdas_wsn.Topology
 module Graph = Slpdas_wsn.Graph
@@ -13,12 +18,13 @@ module Event = Slpdas_sim.Event
 module Link_model = Slpdas_sim.Link_model
 module Shard = Slpdas_sim.Shard
 module Protocol = Slpdas_core.Protocol
-module Scenario = Slpdas_exp.Scenario
+module Safety = Slpdas_core.Safety
+module Phantom = Slpdas_core.Phantom
+module Fake_source = Slpdas_core.Fake_source
+module Params = Slpdas_exp.Params
 module Coupled = Slpdas_exp.Coupled
-module Harness = Slpdas_exp.Harness
-module Runner = Slpdas_exp.Runner
-module Phantom_runner = Slpdas_exp.Phantom_runner
-module Fake_runner = Slpdas_exp.Fake_runner
+module Hunter = Slpdas_attack.Hunter
+module Spec = Engine_spec
 
 let links =
   [
@@ -45,25 +51,229 @@ let check_counters label (expected : Event.counters) (actual : Event.counters)
   Alcotest.(check (option (float 0.0)))
     (label ^ ": last_event") expected.Event.last_event actual.Event.last_event
 
-(* Run a scenario under both implementations; results must agree exactly
-   (the result records are plain data, so structural equality is the full
-   observable comparison). *)
-let both scenario =
-  let fast = Harness.run_with_events scenario in
-  let refr =
-    Harness.run_with_events
-      (Scenario.with_engine_impl Engine.Reference scenario)
+(* Structural equality that short-circuits on shared values (protocol
+   states embed their configuration, topology included). *)
+let same a b = compare a b = 0
+
+(* ------------------------------------------------------------------ *)
+(* One harness, two engines                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* What a harness does to a running engine; both engines provide it. *)
+type ('s, 'm) handle = {
+  subscribe : ('m Event.t -> unit) -> unit;
+  emit : 'm Event.t -> unit;
+  schedule : at:float -> (unit -> unit) -> unit;
+  time : unit -> float;
+  node_state : int -> 's;
+  node_fired : int -> string list;
+  fail_node : int -> unit;
+  revive_node : int -> unit;
+  set_link_loss : a:int -> b:int -> float -> unit;
+  set_global_loss : float -> unit;
+  stop : unit -> unit;
+  run_until : float -> unit;
+  counters : unit -> Event.counters;
+  broadcasts_by_node : unit -> int array;
+}
+
+let engine_handle e =
+  {
+    subscribe = Engine.subscribe e;
+    emit = Engine.emit e;
+    schedule = (fun ~at f -> Engine.schedule e ~at (fun _ -> f ()));
+    time = (fun () -> Engine.time e);
+    node_state = Engine.node_state e;
+    node_fired = Engine.node_fired e;
+    fail_node = Engine.fail_node e;
+    revive_node = Engine.revive_node e;
+    set_link_loss = Engine.set_link_loss e;
+    set_global_loss = Engine.set_global_loss e;
+    stop = (fun () -> Engine.stop e);
+    run_until = Engine.run_until e;
+    counters = (fun () -> Engine.counters e);
+    broadcasts_by_node = (fun () -> Engine.broadcasts_by_node e);
+  }
+
+let spec_handle s =
+  {
+    subscribe = Spec.subscribe s;
+    emit = Spec.emit s;
+    schedule = (fun ~at f -> Spec.schedule s ~at (fun _ -> f ()));
+    time = (fun () -> Spec.time s);
+    node_state = Spec.node_state s;
+    node_fired = Spec.node_fired s;
+    fail_node = Spec.fail_node s;
+    revive_node = Spec.revive_node s;
+    set_link_loss = Spec.set_link_loss s;
+    set_global_loss = Spec.set_global_loss s;
+    stop = (fun () -> Spec.stop s);
+    run_until = Spec.run_until s;
+    counters = (fun () -> Spec.counters s);
+    broadcasts_by_node = (fun () -> Spec.broadcasts_by_node s);
+  }
+
+type fault =
+  | Fail of int
+  | Revive of int
+  | Link_loss of int * int * float
+  | Global_loss of float
+
+(* A seeded run and the harness callbacks armed on it. *)
+type run = {
+  topology : Topology.t;
+  link : Link_model.t;
+  airtime : float option;
+  seed : int;
+  until : float;
+  probe : float * float;
+      (* first time, period: a harness callback that reads every node's
+         state and publishes a phase event, rescheduling itself *)
+  faults : (float * fault) list;
+  stop_after_deliveries : int option;
+}
+
+type ('s, 'm) obs = {
+  events : 'm Event.t array;
+  counters : Event.counters;
+  bbn : int array;
+  states : 's array;
+  fired : string list array;
+  probes : (float * 's array) list;
+}
+
+let drive r (h : _ handle) =
+  let n = Graph.n r.topology.Topology.graph in
+  let events = ref [] in
+  h.subscribe (fun ev -> events := ev :: !events);
+  (match r.stop_after_deliveries with
+  | None -> ()
+  | Some k ->
+    let seen = ref 0 in
+    h.subscribe (function
+      | Event.Delivery _ ->
+        incr seen;
+        if !seen = k then h.stop ()
+      | _ -> ()));
+  List.iter
+    (fun (at, f) ->
+      h.schedule ~at (fun () ->
+          match f with
+          | Fail v -> h.fail_node v
+          | Revive v -> h.revive_node v
+          | Link_loss (a, b, p) -> h.set_link_loss ~a ~b p
+          | Global_loss p -> h.set_global_loss p))
+    r.faults;
+  let probes = ref [] in
+  let first, period = r.probe in
+  let rec probe () =
+    let now = h.time () in
+    probes := (now, Array.init n h.node_state) :: !probes;
+    h.emit (Event.Phase_transition { time = now; phase = "probe" });
+    if now +. period <= r.until then h.schedule ~at:(now +. period) probe
   in
-  (fast, refr)
+  h.schedule ~at:first probe;
+  h.run_until r.until;
+  {
+    events = Array.of_list (List.rev !events);
+    counters = h.counters ();
+    bbn = h.broadcasts_by_node ();
+    states = Array.init n h.node_state;
+    fired = Array.init n h.node_fired;
+    probes = List.rev !probes;
+  }
 
-let check_scenario label scenario =
-  let (fast_r, fast_c), (ref_r, ref_c) = both scenario in
-  check_counters label ref_c fast_c;
-  Alcotest.(check bool) (label ^ ": results equal") true (fast_r = ref_r)
+let observe_engine r ~program =
+  drive r
+    (engine_handle
+       (Engine.create ?airtime:r.airtime ~topology:r.topology ~link:r.link
+          ~rng:(Rng.create r.seed) ~program ()))
+
+let observe_spec r ~program =
+  drive r
+    (spec_handle
+       (Spec.create ?airtime:r.airtime ~topology:r.topology ~link:r.link
+          ~rng:(Rng.create r.seed) ~program ()))
+
+let describe ev =
+  Printf.sprintf "%s@%.6f" (Event.kind_name ev) (Event.time ev)
+
+let check_obs label (expected : _ obs) (actual : _ obs) =
+  let ne = Array.length expected.events and na = Array.length actual.events in
+  let rec first_diff i =
+    if i >= ne || i >= na then None
+    else if same expected.events.(i) actual.events.(i) then first_diff (i + 1)
+    else Some i
+  in
+  (match first_diff 0 with
+  | Some i ->
+    Alcotest.failf "%s: event %d differs: oracle %s, engine %s" label i
+      (describe expected.events.(i)) (describe actual.events.(i))
+  | None ->
+    Alcotest.(check int) (label ^ ": event stream length") ne na);
+  check_counters label expected.counters actual.counters;
+  Alcotest.(check bool) (label ^ ": counters equal") true
+    (expected.counters = actual.counters);
+  Alcotest.(check (array int)) (label ^ ": broadcasts by node") expected.bbn
+    actual.bbn;
+  Array.iteri
+    (fun v s ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: state of node %d" label v)
+        true (same s actual.states.(v));
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: fired trace of node %d" label v)
+        expected.fired.(v) actual.fired.(v))
+    expected.states;
+  Alcotest.(check int) (label ^ ": probes taken")
+    (List.length expected.probes)
+    (List.length actual.probes);
+  Alcotest.(check bool) (label ^ ": probed states equal") true
+    (same expected.probes actual.probes)
+
+let check_against_oracle label r ~program =
+  let expected = observe_spec r ~program in
+  let actual = observe_engine r ~program in
+  check_obs label expected actual;
+  expected
+
+let run_of ?airtime ?(faults = []) ?stop_after_deliveries ~probe ~topology
+    ~link ~seed ~until () =
+  { topology; link; airtime; seed; until; probe; faults; stop_after_deliveries }
 
 (* ------------------------------------------------------------------ *)
-(* Scenario families                                                  *)
+(* Scenario families: the protocols behind every experiment path      *)
 (* ------------------------------------------------------------------ *)
+
+(* The SLP-aware DAS protocol as Runner configures it, probed at source
+   activation and every period after, up to Runner's deadline. *)
+let das_run ?airtime ?faults ~topology ~mode ~link ~seed () =
+  let n = Graph.n topology.Topology.graph in
+  let source = topology.Topology.source and sink = topology.Topology.sink in
+  let delta_ss = Topology.source_sink_distance topology in
+  let params = Params.default in
+  let config =
+    Params.protocol_config ~data_sources:[ source ] params ~mode ~sink
+      ~delta_ss ~seed
+  in
+  let period_length = Protocol.period_length config in
+  let normal_start = Protocol.normal_start config in
+  let until =
+    min
+      (normal_start
+      +. Safety.safety_seconds ~factor:params.Params.safety_factor
+           ~period_length ~delta_ss ())
+      (Safety.upper_time_bound ~nodes:n ~source_period:params.Params.source_period)
+  in
+  ( run_of ?airtime ?faults ~probe:(normal_start, period_length) ~topology ~link
+      ~seed ~until (),
+    Protocol.program config )
+
+let airtimes = [ ("", None); ("+airtime", Some 0.004) ]
+
+let mode_name = function
+  | Protocol.Protectionless -> "das"
+  | Protocol.Slp -> "slp"
 
 let test_das_family () =
   let topology = Topology.grid 5 in
@@ -71,93 +281,116 @@ let test_das_family () =
     (fun (name, link) ->
       List.iter
         (fun mode ->
-          let cfg =
-            {
-              (Runner.default_config ~topology ~mode ~seed:7) with
-              Runner.link;
-            }
-          in
-          let label =
-            Printf.sprintf "das/%s/%s" name
-              (match mode with
-              | Protocol.Protectionless -> "das"
-              | Protocol.Slp -> "slp")
-          in
-          let (fast_r, fast_c), (ref_r, ref_c) = both (Runner.scenario cfg) in
-          check_counters label ref_c fast_c;
-          Alcotest.(check bool) (label ^ ": captured") ref_r.Runner.captured
-            fast_r.Runner.captured;
-          Alcotest.(check (option (float 0.0)))
-            (label ^ ": capture time") ref_r.Runner.capture_seconds
-            fast_r.Runner.capture_seconds;
-          Alcotest.(check (list int)) (label ^ ": attacker path")
-            ref_r.Runner.attacker_path fast_r.Runner.attacker_path;
-          Alcotest.(check (array int)) (label ^ ": broadcasts by node")
-            ref_r.Runner.broadcasts_by_node fast_r.Runner.broadcasts_by_node;
-          Alcotest.(check bool) (label ^ ": full results equal") true
-            (fast_r = ref_r))
+          let r, program = das_run ~topology ~mode ~link ~seed:7 () in
+          let label = Printf.sprintf "das/%s/%s" name (mode_name mode) in
+          let o = check_against_oracle label r ~program in
+          Alcotest.(check bool) (label ^ ": protocol traffic") true
+            (o.counters.Event.broadcasts > 0 && o.probes <> []))
         [ Protocol.Protectionless; Protocol.Slp ])
     links
 
 let test_das_with_airtime () =
-  (* Interference modelling exercises the jam check, whose fast path uses
-     per-node audible queues instead of the reference's global list. *)
+  (* Interference modelling exercises the jam check: the engine scans
+     per-node audible logs, the oracle one global log. *)
   let topology = Topology.grid 5 in
   List.iter
     (fun (name, link) ->
-      let cfg =
-        {
-          (Runner.default_config ~topology ~mode:Protocol.Slp ~seed:11) with
-          Runner.link;
-          airtime = Some 0.004;
-        }
-      in
-      check_scenario (Printf.sprintf "das+airtime/%s" name)
-        (Runner.scenario cfg))
+      List.iter
+        (fun mode ->
+          let r, program =
+            das_run ~airtime:0.004 ~topology ~mode ~link ~seed:11 ()
+          in
+          check_against_oracle
+            (Printf.sprintf "das+airtime/%s/%s" name (mode_name mode))
+            r ~program
+          |> ignore)
+        [ Protocol.Protectionless; Protocol.Slp ])
     links
 
 let test_phantom_family () =
   let topology = Topology.grid 7 in
+  let delta_ss = Topology.source_sink_distance topology in
   List.iter
     (fun (name, link) ->
       List.iter
         (fun walk_length ->
-          let cfg = { Phantom_runner.topology; walk_length; link; seed = 3 } in
-          let (fast_r, fast_c), (ref_r, ref_c) =
-            both (Phantom_runner.scenario cfg)
+          let config =
+            {
+              (Phantom.default_config ~topology ~walk_length) with
+              Phantom.run_seed = 3;
+            }
           in
-          let label = Printf.sprintf "phantom/%s/walk%d" name walk_length in
-          check_counters label ref_c fast_c;
-          Alcotest.(check bool) (label ^ ": captured")
-            ref_r.Phantom_runner.captured fast_r.Phantom_runner.captured;
-          Alcotest.(check (array int)) (label ^ ": broadcasts by node")
-            ref_r.Phantom_runner.broadcasts_by_node
-            fast_r.Phantom_runner.broadcasts_by_node;
-          Alcotest.(check bool) (label ^ ": full results equal") true
-            (fast_r = ref_r))
+          let until =
+            config.Phantom.start_time
+            +. Safety.safety_seconds ~period_length:config.Phantom.source_period
+                 ~delta_ss ()
+          in
+          List.iter
+            (fun (aname, airtime) ->
+              let r =
+                run_of ?airtime
+                  ~probe:(config.Phantom.start_time, config.Phantom.source_period)
+                  ~topology ~link ~seed:3 ~until ()
+              in
+              check_against_oracle
+                (Printf.sprintf "phantom/%s/walk%d%s" name walk_length aname)
+                r ~program:(Phantom.program config)
+              |> ignore)
+            airtimes)
         [ 0; 4 ])
     links
 
 let test_fake_family () =
   let topology = Topology.grid 5 in
-  let corner = (Graph.n topology.Topology.graph) - 1 in
+  let delta_ss = Topology.source_sink_distance topology in
+  let corner = Graph.n topology.Topology.graph - 1 in
+  let config =
+    {
+      (Fake_source.default_config ~topology ~fake_sources:[ corner ]
+         ~fake_rate_multiplier:1.0)
+      with
+      Fake_source.run_seed = 5;
+    }
+  in
+  let until =
+    config.Fake_source.start_time
+    +. Safety.safety_seconds ~period_length:config.Fake_source.source_period
+         ~delta_ss ()
+  in
   List.iter
     (fun (name, link) ->
-      let cfg =
-        {
-          Fake_runner.topology;
-          fake_sources = [ corner ];
-          fake_rate_multiplier = 1.0;
-          link;
-          seed = 5;
-        }
+      List.iter
+        (fun (aname, airtime) ->
+          let r =
+            run_of ?airtime
+              ~probe:(config.Fake_source.start_time, config.Fake_source.source_period)
+              ~topology ~link ~seed:5 ~until ()
+          in
+          check_against_oracle
+            (Printf.sprintf "fake/%s%s" name aname)
+            r ~program:(Fake_source.program config)
+          |> ignore)
+        airtimes)
+    links
+
+(* The full DAS protocol with crash-stops and a revival during the setup
+   window, queued as harness callbacks exactly as the churn workload arms
+   its fault plans. *)
+let test_das_with_crashes () =
+  let topology = Topology.grid 5 in
+  let faults = [ (22.0, Fail 7); (47.0, Fail 18); (120.0, Revive 7) ] in
+  List.iter
+    (fun (name, link) ->
+      let r, program =
+        das_run ~faults ~topology ~mode:Protocol.Slp ~link ~seed:13 ()
       in
-      check_scenario (Printf.sprintf "fake/%s" name)
-        (Fake_runner.scenario cfg))
+      let o = check_against_oracle ("das+crashes/" ^ name) r ~program in
+      Alcotest.(check int) (name ^ ": two crashes") 2 o.counters.Event.node_failures;
+      Alcotest.(check int) (name ^ ": one revival") 1 o.counters.Event.node_revivals)
     links
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level comparison: full node states and action traces        *)
+(* Engine internals: the wave flood on both sides of the batch cutover *)
 (* ------------------------------------------------------------------ *)
 
 let go_timer = Gcn.Timer.intern "equiv-go"
@@ -205,132 +438,112 @@ let wave_program_if ~flood ~self =
 
 let wave_program ~self = wave_program_if ~flood:(fun v -> v = 0) ~self
 
-let run_wave ~impl ?batch_cutover ?airtime link =
-  let topology = Topology.grid 6 in
-  let e =
-    Engine.create ~impl ?batch_cutover ?airtime ~topology ~link
-      ~rng:(Rng.create 42) ~program:wave_program ()
-  in
-  Engine.run_until e 8.0;
-  e
+(* Grid 6 (36 nodes) takes the engine's singleton-delivery path; grid 33
+   (1089 nodes) lies above the documented 1024-node cutover and takes the
+   batched one. *)
+let wave_grids = [ ("grid6", Topology.grid 6); ("grid33", Topology.grid 33) ]
 
-let check_engines label a b =
-  let n = Graph.n (Engine.topology a).Topology.graph in
-  check_counters label (Engine.counters a) (Engine.counters b);
-  Alcotest.(check (array int)) (label ^ ": broadcasts by node")
-    (Engine.broadcasts_by_node a)
-    (Engine.broadcasts_by_node b);
-  for v = 0 to n - 1 do
-    Alcotest.(check (pair int int))
-      (Printf.sprintf "%s: state of node %d" label v)
-      (Engine.node_state a v) (Engine.node_state b v);
-    Alcotest.(check (list string))
-      (Printf.sprintf "%s: fired trace of node %d" label v)
-      (Engine.node_fired a v) (Engine.node_fired b v)
-  done
+let test_cutover_sides () =
+  Alcotest.(check (float 0.0)) "oracle latency = engine latency"
+    Engine.propagation_delay Spec.propagation_delay;
+  List.iter
+    (fun (gname, topology) ->
+      Alcotest.(check bool) (gname ^ " sits on its side of the cutover")
+        (gname = "grid33")
+        (Graph.n topology.Topology.graph > 1024))
+    wave_grids
+
+let wave_run ?airtime ?faults ?stop_after_deliveries ?(seed = 42) topology link
+    =
+  run_of ?airtime ?faults ?stop_after_deliveries ~probe:(0.5, 1.0) ~topology
+    ~link ~seed ~until:8.0 ()
 
 let test_engine_states () =
+  test_cutover_sides ();
   List.iter
-    (fun (name, link) ->
-      check_engines name
-        (run_wave ~impl:Engine.Reference link)
-        (run_wave ~impl:Engine.Fast link);
-      (* Grid 6 sits below the batch cutover, so the default Fast run above
-         exercises the singleton regime; forcing the cutover to 0 keeps the
-         batch-expansion path under the same oracle. *)
-      check_engines (name ^ "+batch")
-        (run_wave ~impl:Engine.Reference link)
-        (run_wave ~impl:Engine.Fast ~batch_cutover:0 link))
-    links
+    (fun (gname, topology) ->
+      List.iter
+        (fun (name, link) ->
+          check_against_oracle
+            (Printf.sprintf "%s/%s" gname name)
+            (wave_run topology link) ~program:wave_program
+          |> ignore)
+        links)
+    wave_grids
 
 let test_engine_states_airtime () =
   List.iter
-    (fun (name, link) ->
-      check_engines (name ^ "+airtime")
-        (run_wave ~impl:Engine.Reference ~airtime:0.003 link)
-        (run_wave ~impl:Engine.Fast ~airtime:0.003 link);
-      check_engines (name ^ "+airtime+batch")
-        (run_wave ~impl:Engine.Reference ~airtime:0.003 link)
-        (run_wave ~impl:Engine.Fast ~batch_cutover:0 ~airtime:0.003 link))
-    links
+    (fun (gname, topology) ->
+      List.iter
+        (fun (name, link) ->
+          let o =
+            check_against_oracle
+              (Printf.sprintf "%s/%s+airtime" gname name)
+              (wave_run ~airtime:0.003 topology link)
+              ~program:wave_program
+          in
+          Alcotest.(check bool) (gname ^ "/" ^ name ^ ": receptions jammed")
+            true
+            (o.counters.Event.drops_collision > 0))
+        links)
+    wave_grids
 
 (* Fault layer: mid-run crash-stops, a revival, link overrides and a loss
-   burst, all queued at fixed times.  Both implementations must agree on
-   every observable — including the typed failure/revival/link-change
-   counters and the fault-layer's extra randomness draws, which are made
-   per neighbour in adjacency order in both engines. *)
-let run_wave_faulted ~impl ?batch_cutover link =
-  let topology = Topology.grid 6 in
-  let e =
-    Engine.create ~impl ?batch_cutover ~topology ~link ~rng:(Rng.create 42)
-      ~program:wave_program ()
-  in
-  Engine.schedule e ~at:2.5 (fun e -> Engine.fail_node e 7);
-  Engine.schedule e ~at:3.0 (fun e -> Engine.set_link_loss e ~a:0 ~b:1 0.6);
-  Engine.schedule e ~at:3.5 (fun e -> Engine.fail_node e 14);
-  Engine.schedule e ~at:4.5 (fun e -> Engine.revive_node e 7);
-  Engine.schedule e ~at:5.0 (fun e -> Engine.set_global_loss e 0.3);
-  Engine.schedule e ~at:6.0 (fun e -> Engine.set_global_loss e 0.0);
-  Engine.schedule e ~at:6.5 (fun e -> Engine.set_link_loss e ~a:0 ~b:1 0.0);
-  Engine.run_until e 8.0;
-  e
+   burst, all queued at fixed times.  The fault layer's extra draws come
+   from the link RNG per neighbour in adjacency order, so every observable
+   — the typed failure/revival/link-change events included — must agree. *)
+let wave_faults ~second =
+  [
+    (2.5, Fail 7);
+    (3.0, Link_loss (0, 1, 0.6));
+    (3.5, Fail second);
+    (4.5, Revive 7);
+    (5.0, Global_loss 0.3);
+    (6.0, Global_loss 0.0);
+    (6.5, Link_loss (0, 1, 0.0));
+  ]
 
 let test_fault_equivalence () =
   List.iter
-    (fun (name, link) ->
-      check_engines (name ^ "+faults")
-        (run_wave_faulted ~impl:Engine.Reference link)
-        (run_wave_faulted ~impl:Engine.Fast link);
-      check_engines (name ^ "+faults+batch")
-        (run_wave_faulted ~impl:Engine.Reference link)
-        (run_wave_faulted ~impl:Engine.Fast ~batch_cutover:0 link))
-    links
+    (fun (gname, topology) ->
+      let second = Graph.n topology.Topology.graph / 2 in
+      List.iter
+        (fun (name, link) ->
+          let o =
+            check_against_oracle
+              (Printf.sprintf "%s/%s+faults" gname name)
+              (wave_run ~faults:(wave_faults ~second) topology link)
+              ~program:wave_program
+          in
+          Alcotest.(check int) (gname ^ ": two failures") 2
+            o.counters.Event.node_failures;
+          Alcotest.(check int) (gname ^ ": one revival") 1
+            o.counters.Event.node_revivals)
+        links)
+    wave_grids
 
-(* The full DAS protocol with crash-stops and a revival during the setup
-   window, armed through the scenario fault hooks exactly as the churn
-   workload does. *)
-let test_das_with_crashes () =
-  let topology = Topology.grid 5 in
-  List.iter
-    (fun (name, link) ->
-      let cfg =
-        { (Runner.default_config ~topology ~mode:Protocol.Slp ~seed:13) with
-          Runner.link }
-      in
-      let scenario =
-        Scenario.with_faults
-          (fun e ->
-            Engine.schedule e ~at:22.0 (fun e -> Engine.fail_node e 7);
-            Engine.schedule e ~at:47.0 (fun e -> Engine.fail_node e 18);
-            Engine.schedule e ~at:120.0 (fun e -> Engine.revive_node e 7))
-          (Runner.scenario cfg)
-      in
-      check_scenario ("das+crashes/" ^ name) scenario)
-    links
-
-(* Mid-run stop: a subscriber halts the run at a fixed broadcast count.
-   Both implementations must stop with the same observable state — the
-   fast engine re-checks the halt flag between batched recipients. *)
+(* Mid-run stop: a subscriber halts the run at a fixed delivery count, in
+   the middle of a wave.  On the batched grid the stop lands inside a
+   broadcast's batch, which the engine must cut short between recipients
+   exactly where the oracle stops popping singleton arrivals. *)
 let test_stop_equivalence () =
-  let run ?batch_cutover impl =
-    let topology = Topology.grid 6 in
-    let e =
-      Engine.create ~impl ?batch_cutover ~topology ~link:(Link_model.Lossy 0.2)
-        ~rng:(Rng.create 9) ~program:wave_program ()
-    in
-    let seen = ref 0 in
-    Engine.subscribe e (fun ev ->
-        match ev with
-        | Event.Broadcast _ ->
-          incr seen;
-          if !seen = 40 then Engine.stop e
-        | _ -> ());
-    Engine.run_until e 100.0;
-    e
-  in
-  check_engines "stop@40" (run Engine.Reference) (run Engine.Fast);
-  check_engines "stop@40+batch" (run Engine.Reference)
-    (run ~batch_cutover:0 Engine.Fast)
+  List.iter
+    (fun (gname, topology, k) ->
+      List.iter
+        (fun (name, link) ->
+          let o =
+            check_against_oracle
+              (Printf.sprintf "%s/%s: stop@%d" gname name k)
+              (wave_run ~stop_after_deliveries:k ~seed:9 topology link)
+              ~program:wave_program
+          in
+          Alcotest.(check int) (gname ^ ": stopped at the delivery") k
+            o.counters.Event.deliveries)
+        links)
+    [
+      ("grid6", Topology.grid 6, 101);
+      ("grid33", Topology.grid 33, 3001);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Spatial sharding: single-cell plans are exactly the unsharded run; *)
@@ -345,25 +558,20 @@ let test_shard_single_cell () =
       let plan = Shard.plan ~cells_x:1 ~cells_y:1 topology in
       Alcotest.(check int) (name ^ ": one cell") 1 (Array.length plan.Shard.cells);
       Alcotest.(check int) (name ^ ": no cut edges") 0 plan.Shard.cut_edges;
-      List.iter
-        (fun impl ->
-          let per_cell, merged =
-            Shard.run ~impl plan ~link ~seed:42
-              ~program:(fun ~cell:_ ~self -> wave_program ~self)
-              ~until:8.0
-          in
-          (* The unsharded twin must consume the same RNG stream the plan
-             hands its only cell: the first split of the master seed. *)
-          let rng = Rng.split (Rng.create 42) in
-          let e =
-            Engine.create ~impl ~topology ~link ~rng ~program:wave_program ()
-          in
-          Engine.run_until e 8.0;
-          check_counters
-            (name ^ ": single cell = unsharded")
-            (Engine.counters e) merged;
-          check_counters (name ^ ": merged = only cell") merged per_cell.(0))
-        [ Engine.Fast; Engine.Reference ])
+      let per_cell, merged =
+        Shard.run plan ~link ~seed:42
+          ~program:(fun ~cell:_ ~self -> wave_program ~self)
+          ~until:8.0
+      in
+      (* The unsharded twin must consume the same RNG stream the plan hands
+         its only cell: the first split of the master seed. *)
+      let rng = Rng.split (Rng.create 42) in
+      let e = Engine.create ~topology ~link ~rng ~program:wave_program () in
+      Engine.run_until e 8.0;
+      check_counters
+        (name ^ ": single cell = unsharded")
+        (Engine.counters e) merged;
+      check_counters (name ^ ": merged = only cell") merged per_cell.(0))
     links
 
 (* Two grid-6 copies, ids offset by n, 1 km apart: a 2x1 plan bins each
@@ -460,10 +668,9 @@ type global_obs = {
   o_bbn : int array;
 }
 
-let seq_obs ~impl ?(arm = fun _ -> ()) ~topology ~link ~until () =
+let seq_obs ?(arm = fun _ -> ()) ~topology ~link ~until () =
   let e =
-    Shard.sequential_engine ~impl ~topology ~link ~seed:42
-      ~program:wave_program ()
+    Shard.sequential_engine ~topology ~link ~seed:42 ~program:wave_program ()
   in
   arm e;
   Engine.run_until e until;
@@ -475,7 +682,7 @@ let seq_obs ~impl ?(arm = fun _ -> ()) ~topology ~link ~until () =
     o_bbn = Engine.broadcasts_by_node e;
   }
 
-let coupled_obs ~impl ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
+let coupled_obs ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
     ~cells_x ~cells_y ~topology ~link ~until () =
   let plan = Shard.plan ~cells_x ~cells_y topology in
   let n = Graph.n topology.Topology.graph in
@@ -483,7 +690,7 @@ let coupled_obs ~impl ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
   let fired = Array.make n [] in
   let bbn = Array.make n 0 in
   let _, merged =
-    Shard.run_coupled ~domains ~impl
+    Shard.run_coupled ~domains
       ~arm:(fun ~cell e -> arm ~plan ~cell e)
       ~inspect:(fun ~cell e ->
         let local_bbn = Engine.broadcasts_by_node e in
@@ -497,7 +704,7 @@ let coupled_obs ~impl ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
   in
   { o_counters = merged; o_states = states; o_fired = fired; o_bbn = bbn }
 
-let check_obs ?(skip_link_changes = false) label expected actual =
+let check_global ?(skip_link_changes = false) label expected actual =
   (if skip_link_changes then begin
      (* Per-cell fault application duplicates the Link_changed bookkeeping
         event (one per cell instead of one per deployment); the caller
@@ -555,29 +762,17 @@ let test_coupled_vs_sequential () =
         (Shard.boundary_nodes plan22 > 0);
       List.iter
         (fun (lname, link) ->
-          let seq impl = seq_obs ~impl ~topology ~link ~until:8.0 () in
-          let seq_fast = seq Engine.Fast in
-          let seq_ref = seq Engine.Reference in
-          (* The stable-ordered sequential twin is itself impl-invariant. *)
-          check_obs
-            (Printf.sprintf "%s/%s: sequential fast = reference" tname lname)
-            seq_ref seq_fast;
+          let twin = seq_obs ~topology ~link ~until:8.0 () in
           List.iter
-            (fun (iname, impl, twin) ->
-              List.iter
-                (fun (cells_x, cells_y) ->
-                  let label =
-                    Printf.sprintf "%s/%s/%s/%dx%d coupled = sequential" tname
-                      lname iname cells_x cells_y
-                  in
-                  check_obs label twin
-                    (coupled_obs ~impl ~domains:2 ~cells_x ~cells_y ~topology
-                       ~link ~until:8.0 ()))
-                [ (1, 1); (2, 2); (3, 1) ])
-            [
-              ("fast", Engine.Fast, seq_fast);
-              ("ref", Engine.Reference, seq_ref);
-            ])
+            (fun (cells_x, cells_y) ->
+              let label =
+                Printf.sprintf "%s/%s/%dx%d coupled = sequential" tname lname
+                  cells_x cells_y
+              in
+              check_global label twin
+                (coupled_obs ~domains:2 ~cells_x ~cells_y ~topology ~link
+                   ~until:8.0 ()))
+            [ (1, 1); (2, 2); (3, 1) ])
         links)
     (coupled_topologies ())
 
@@ -661,21 +856,18 @@ let test_coupled_faults () =
   in
   List.iter
     (fun (lname, link) ->
-      List.iter
-        (fun (iname, impl) ->
-          let label = Printf.sprintf "faults/%s/%s" lname iname in
-          let twin = seq_obs ~impl ~arm:arm_seq ~topology ~link ~until:8.0 () in
-          let coupled =
-            coupled_obs ~impl ~domains:2 ~arm:arm_cell ~cells_x:2 ~cells_y:2
-              ~topology ~link ~until:8.0 ()
-          in
-          check_obs ~skip_link_changes:true label twin coupled;
-          (* Every cell logs the mirrored global-loss changes; everything
-             else is armed exactly once. *)
-          Alcotest.(check int) (label ^ ": link changes")
-            (twin.o_counters.Event.link_changes + ((nc - 1) * global_changes))
-            coupled.o_counters.Event.link_changes)
-        [ ("fast", Engine.Fast); ("ref", Engine.Reference) ])
+      let label = "faults/" ^ lname in
+      let twin = seq_obs ~arm:arm_seq ~topology ~link ~until:8.0 () in
+      let coupled =
+        coupled_obs ~domains:2 ~arm:arm_cell ~cells_x:2 ~cells_y:2 ~topology
+          ~link ~until:8.0 ()
+      in
+      check_global ~skip_link_changes:true label twin coupled;
+      (* Every cell logs the mirrored global-loss changes; everything else
+         is armed exactly once. *)
+      Alcotest.(check int) (label ^ ": link changes")
+        (twin.o_counters.Event.link_changes + ((nc - 1) * global_changes))
+        coupled.o_counters.Event.link_changes)
     links
 
 (* The exp-layer recorder must reconstruct the sequential engine's bus
@@ -687,8 +879,8 @@ let test_coupled_event_stream () =
   List.iter
     (fun (lname, link) ->
       let twin =
-        Shard.sequential_engine ~impl:Engine.Fast ~topology ~link ~seed:42
-          ~program:wave_program ()
+        Shard.sequential_engine ~topology ~link ~seed:42 ~program:wave_program
+          ()
       in
       let twin_stream = Coupled.tap twin in
       Engine.run_until twin 8.0;
@@ -709,7 +901,7 @@ let test_coupled_event_stream () =
     links
 
 (* The pure hunter fold over a coupled run's merged stream must reach the
-   same verdict as the live Scenario.Hunter subscribed on the sequential
+   same verdict as the live local hunter subscribed on the sequential
    twin (which stops the engine at capture — the fold instead ignores the
    stream's tail). *)
 let test_coupled_hunter () =
@@ -721,23 +913,26 @@ let test_coupled_hunter () =
   List.iter
     (fun (lname, link) ->
       let twin =
-        Shard.sequential_engine ~impl:Engine.Fast ~topology ~link ~seed:42
-          ~program:wave_program ()
+        Shard.sequential_engine ~topology ~link ~seed:42 ~program:wave_program
+          ()
       in
-      let live = Scenario.Hunter.attach ~start ~source ~message_id twin in
+      let live =
+        Hunter.attach Slpdas_attack.Model.Local ~start ~source ~seed:0
+          ~message_id twin
+      in
       Engine.run_until twin 14.0;
       let folded, _ =
         Coupled.capture ~domains:2 plan ~link ~seed:42 ~program:wave_program
           ~until:14.0 ~start ~source ~message_id ()
       in
       Alcotest.(check int) (lname ^ ": hunter location")
-        (Scenario.Hunter.location live)
+        (Hunter.location live)
         folded.Coupled.Hunter.location;
       Alcotest.(check (list int)) (lname ^ ": hunter path")
-        (Scenario.Hunter.path live) folded.Coupled.Hunter.path;
+        (Hunter.path live) folded.Coupled.Hunter.path;
       Alcotest.(check (option (float 0.0)))
         (lname ^ ": capture time")
-        (Scenario.Hunter.capture_time live)
+        (Hunter.capture_time live)
         folded.Coupled.Hunter.capture_time;
       (* The wave floods from the source every second, so the hunter must
          actually converge — guard against a vacuous pass. *)
@@ -777,8 +972,8 @@ let test_coupled_101 () =
   List.iter
     (fun (lname, link) ->
       let twin =
-        Shard.sequential_engine ~impl:Engine.Fast ~topology ~link ~seed:42
-          ~program:wave_program ()
+        Shard.sequential_engine ~topology ~link ~seed:42 ~program:wave_program
+          ()
       in
       Engine.run_until twin until;
       let twin_json = Event.to_json (Engine.counters twin) in
@@ -808,7 +1003,7 @@ let test_coupled_101 () =
 let prop_coupled_cell_count_invariance =
   let topology = Topology.grid 5 in
   let link = Link_model.Lossy 0.25 in
-  let twin = seq_obs ~impl:Engine.Fast ~topology ~link ~until:5.0 () in
+  let twin = seq_obs ~topology ~link ~until:5.0 () in
   let twin_json = Event.to_json twin.o_counters in
   QCheck.Test.make ~count:12
     ~name:"coupled run is invariant in (cells_x, cells_y, domains)"
@@ -820,8 +1015,7 @@ let prop_coupled_cell_count_invariance =
       and cells_y = max 1 cells_y
       and domains = max 1 domains in
       let obs =
-        coupled_obs ~impl:Engine.Fast ~domains ~cells_x ~cells_y ~topology
-          ~link ~until:5.0 ()
+        coupled_obs ~domains ~cells_x ~cells_y ~topology ~link ~until:5.0 ()
       in
       Event.to_json obs.o_counters = twin_json
       && obs.o_states = twin.o_states

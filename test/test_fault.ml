@@ -1,12 +1,17 @@
 (* Tests for the lib/fault subsystem: the fault-plan DSL and its
    deterministic compilation, alive-restricted schedule checking, the
    resilience counter algebra and the churn workload's repair metrics —
-   including Fast-vs-Reference agreement and domain-count invariance. *)
+   including a replay on the spec oracle engine and domain-count
+   invariance. *)
 
 module Topology = Slpdas_wsn.Topology
 module Graph = Slpdas_wsn.Graph
-module Engine = Slpdas_sim.Engine
+module Rng = Slpdas_util.Rng
+module Gcn = Slpdas_gcn
 module Event = Slpdas_sim.Event
+module Link_model = Slpdas_sim.Link_model
+module Messages = Slpdas_core.Messages
+module Safety = Slpdas_core.Safety
 module Schedule = Slpdas_core.Schedule
 module Das_check = Slpdas_core.Das_check
 module Protocol = Slpdas_core.Protocol
@@ -14,6 +19,7 @@ module Params = Slpdas_exp.Params
 module Fault_plan = Slpdas_fault.Fault_plan
 module Resilience = Slpdas_fault.Resilience
 module Churn = Slpdas_fault.Churn
+module Spec = Engine_spec
 
 (* ------------------------------------------------------------------ *)
 (* Plan DSL                                                           *)
@@ -291,24 +297,105 @@ let test_churn_deterministic () =
   let r2 = Churn.run cfg in
   Alcotest.(check bool) "identical reports for identical configs" true (r1 = r2)
 
-let test_churn_fast_vs_reference () =
-  let cfg = churn_config ~seed:11 ~revive_after_periods:25 () in
-  let fast_r, fast_c = Churn.run_with_events cfg in
-  let ref_r, ref_c =
-    Churn.run_with_events { cfg with Churn.impl = Engine.Reference }
+(* The churn workload replayed on the spec oracle.  The replay rebuilds
+   what Churn.scenario runs — the protocol program, the compiled plan armed
+   the way Injector.arm arms it (neighbour notification one dissemination
+   period after each crash, hellos from the alive neighbours on a revival)
+   and the period-boundary schedule probes — and must reproduce the engine
+   run's event counters and its final weak-DAS verdict. *)
+let test_churn_oracle () =
+  let cfg =
+    churn_config ~seed:11 ~revive_after_periods:25 ~burst:(0.3, 20.0) ()
   in
-  Alcotest.(check bool) "reports agree across implementations" true
-    (fast_r = ref_r);
-  Alcotest.(check int) "failure events agree" ref_c.Event.node_failures
-    fast_c.Event.node_failures;
-  Alcotest.(check int) "revival events agree" ref_c.Event.node_revivals
-    fast_c.Event.node_revivals;
-  Alcotest.(check int) "link events agree" ref_c.Event.link_changes
-    fast_c.Event.link_changes;
+  let report, counters = Churn.run_with_events cfg in
+  let topology = Topology.grid cfg.Churn.dim in
+  let graph = topology.Topology.graph in
+  let n = Graph.n graph in
+  let source = topology.Topology.source and sink = topology.Topology.sink in
+  let delta_ss = Topology.source_sink_distance topology in
+  let params = cfg.Churn.params in
+  let config =
+    Params.protocol_config ~data_sources:[ source ] params ~mode:cfg.Churn.mode
+      ~sink ~delta_ss ~seed:cfg.Churn.seed
+  in
+  let period_length = Protocol.period_length config in
+  let deadline =
+    min
+      (Protocol.normal_start config
+      +. Safety.safety_seconds ~factor:params.Params.safety_factor
+           ~period_length ~delta_ss ())
+      (Safety.upper_time_bound ~nodes:n ~source_period:params.Params.source_period)
+  in
+  let ops =
+    Fault_plan.compile ~protect:[ source ] ~topology
+      ~seed:(cfg.Churn.seed lxor 0xfa17) cfg.Churn.plan
+  in
+  let spec =
+    Spec.create ~topology ~link:Link_model.Ideal
+      ~rng:(Rng.create (cfg.Churn.seed lxor 0x5113_da5))
+      ~program:(Protocol.program config) ()
+  in
+  let each_alive_neighbour s v f =
+    Array.iter
+      (fun u -> if not (Spec.node_failed s u) then f u)
+      (Graph.neighbours graph v)
+  in
+  List.iter
+    (fun { Fault_plan.time; op } ->
+      Spec.schedule spec ~at:time (fun s ->
+          match op with
+          | Fault_plan.Fail v ->
+            Spec.fail_node s v;
+            Spec.schedule s
+              ~at:(time +. config.Protocol.dissemination_period)
+              (fun s ->
+                each_alive_neighbour s v (fun u ->
+                    Spec.inject s ~node:u
+                      (Gcn.Receive
+                         { sender = v; msg = Messages.Neighbour_down v })))
+          | Fault_plan.Restart v ->
+            Spec.revive_node s v;
+            each_alive_neighbour s v (fun u ->
+                Spec.inject s ~node:v
+                  (Gcn.Receive { sender = u; msg = Messages.Hello }))
+          | Fault_plan.Set_link { a; b; loss } -> Spec.set_link_loss s ~a ~b loss
+          | Fault_plan.Set_global loss -> Spec.set_global_loss s loss))
+    ops;
+  let weak s =
+    let failed = Array.init n (Spec.node_failed s) in
+    let sched =
+      Protocol.extract_schedule ~n config (fun v -> Spec.node_state s v)
+    in
+    Resilience.weak_ok graph ~sink ~failed
+      (Resilience.masked_schedule sched ~failed)
+  in
+  let probes = ref 0 in
+  for p =
+    config.Protocol.neighbour_discovery_periods + 1
+    to config.Protocol.minimum_setup_periods
+  do
+    Spec.schedule spec ~at:(float_of_int p *. period_length) (fun s ->
+        ignore (weak s);
+        incr probes)
+  done;
+  Spec.run_until spec deadline;
+  let oracle = Spec.counters spec in
+  Alcotest.(check bool) "every probe ran" true (!probes > 0);
+  Alcotest.(check bool) "counters agree with the oracle" true (oracle = counters);
+  Alcotest.(check int) "failure events agree" oracle.Event.node_failures
+    counters.Event.node_failures;
+  Alcotest.(check int) "revival events agree" oracle.Event.node_revivals
+    counters.Event.node_revivals;
+  Alcotest.(check int) "link events agree" oracle.Event.link_changes
+    counters.Event.link_changes;
+  Alcotest.(check bool) "final weak verdict agrees" (weak spec)
+    report.Resilience.weak_final;
   Alcotest.(check int) "two failures seen on the bus" 2
-    fast_c.Event.node_failures;
+    counters.Event.node_failures;
   Alcotest.(check int) "two revivals seen on the bus" 2
-    fast_c.Event.node_revivals
+    counters.Event.node_revivals;
+  Alcotest.(check int) "burst on and off seen on the bus" 2
+    counters.Event.link_changes
 
 let test_churn_domains_invariant () =
   let configs =
@@ -360,8 +447,7 @@ let () =
           Alcotest.test_case "loss burst" `Quick test_churn_burst;
           Alcotest.test_case "slp mode" `Quick test_churn_slp_mode;
           Alcotest.test_case "deterministic" `Quick test_churn_deterministic;
-          Alcotest.test_case "fast vs reference" `Quick
-            test_churn_fast_vs_reference;
+          Alcotest.test_case "oracle replay" `Quick test_churn_oracle;
           Alcotest.test_case "domain invariance" `Quick
             test_churn_domains_invariant;
           Alcotest.test_case "table row" `Quick test_churn_table_row;

@@ -43,9 +43,9 @@ let flood_program ~self =
   ignore self;
   { Gcn.init; actions = [ go; forward ]; spontaneous = [] }
 
-let make_engine ?impl ?(link = Link_model.Ideal) ?(dim = 5) () =
+let make_engine ?(link = Link_model.Ideal) ?(dim = 5) () =
   let topology = Topology.grid dim in
-  Engine.create ?impl ~topology ~link ~rng:(Rng.create 1)
+  Engine.create ~topology ~link ~rng:(Rng.create 1)
     ~program:flood_program ()
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +171,7 @@ let count_x_program ~effects ~self:_ =
   in
   { Gcn.init; actions = [ x ]; spontaneous = [] }
 
-let test_timer_reset_supersedes ~impl () =
+let test_timer_reset_supersedes () =
   let effects =
     [
       Gcn.Set_timer { timer = x_timer; after = 5.0 };
@@ -181,7 +181,7 @@ let test_timer_reset_supersedes ~impl () =
   in
   let topology = Topology.line 2 in
   let e =
-    Engine.create ~impl ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
+    Engine.create ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
       ~program:(count_x_program ~effects) ()
   in
   Engine.run_until e 6.0;
@@ -189,24 +189,23 @@ let test_timer_reset_supersedes ~impl () =
   Engine.run_until e 9.0;
   Alcotest.(check int) "fired once at the new deadline" 1 (Engine.node_state e 0)
 
-let test_stop_timer_cancels ~impl () =
+let test_stop_timer_cancels () =
   let effects =
     [ Gcn.Set_timer { timer = x_timer; after = 2.0 }; Gcn.Stop_timer x_timer ]
   in
   let topology = Topology.line 2 in
   let e =
-    Engine.create ~impl ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
+    Engine.create ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
       ~program:(count_x_program ~effects) ()
   in
   Engine.run_until e 10.0;
   Alcotest.(check int) "cancelled" 0 (Engine.node_state e 0)
 
-(* Timers interned only after engine creation must still work: the fast
-   impl's per-node generation rows grow on demand. *)
-let test_late_interned_timer ~impl () =
-  let fresh =
-    Gcn.Timer.intern (Printf.sprintf "late-%d" (Gcn.Timer.count ()))
-  in
+(* Timers interned only after engine creation must still work: the
+   engine's per-node generation rows are sized to the intern registry at
+   [create] and grow on demand. *)
+let test_late_interned_timer () =
+  let fresh = ref None in
   let effects = [ Gcn.Set_timer { timer = x_timer; after = 1.0 } ] in
   let program ~self =
     let p = count_x_program ~effects ~self in
@@ -215,10 +214,11 @@ let test_late_interned_timer ~impl () =
         Gcn.name = "late";
         handler =
           (fun ~self:_ s trigger ->
-            match trigger with
-            | Gcn.Timeout t when Gcn.Timer.equal t fresh -> Some (s + 100, [])
-            | Gcn.Timeout t when Gcn.Timer.equal t x_timer ->
-              Some (s, [ Gcn.Set_timer { timer = fresh; after = 1.0 } ])
+            match (trigger, !fresh) with
+            | Gcn.Timeout t, Some tm when Gcn.Timer.equal t tm ->
+              Some (s + 100, [])
+            | Gcn.Timeout t, Some tm when Gcn.Timer.equal t x_timer ->
+              Some (s, [ Gcn.Set_timer { timer = tm; after = 1.0 } ])
             | _ -> None);
       }
     in
@@ -226,9 +226,14 @@ let test_late_interned_timer ~impl () =
   in
   let topology = Topology.line 2 in
   let e =
-    Engine.create ~impl ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
+    Engine.create ~topology ~link:Link_model.Ideal ~rng:(Rng.create 1)
       ~program ()
   in
+  let rows = Gcn.Timer.count () in
+  let late = Gcn.Timer.intern (Printf.sprintf "late-%d" rows) in
+  fresh := Some late;
+  Alcotest.(check bool) "id lies beyond the rows sized at create" true
+    (Gcn.Timer.id late >= rows);
   Engine.run_until e 10.0;
   Alcotest.(check int) "late timer fired" 100 (Engine.node_state e 0)
 
@@ -267,10 +272,10 @@ let two_senders_program ~at0 ~at2 ~self =
   ignore self;
   { Gcn.init; actions = [ go; hear ]; spontaneous = [] }
 
-let run_two_senders ?impl ?airtime ~at0 ~at2 () =
+let run_two_senders ?airtime ~at0 ~at2 () =
   let topology = Topology.line 3 in
   let e =
-    Engine.create ?impl ?airtime ~topology ~link:Link_model.Ideal
+    Engine.create ?airtime ~topology ~link:Link_model.Ideal
       ~rng:(Rng.create 1)
       ~program:(fun ~self -> two_senders_program ~at0 ~at2 ~self)
       ()
@@ -610,18 +615,10 @@ let () =
           Alcotest.test_case "inject" `Quick test_inject_trigger;
           Alcotest.test_case "step" `Quick test_step_granularity;
           Alcotest.test_case "fired traces" `Quick test_node_fired_trace;
-          Alcotest.test_case "timer reset" `Quick
-            (test_timer_reset_supersedes ~impl:Engine.Fast);
-          Alcotest.test_case "timer reset (reference)" `Quick
-            (test_timer_reset_supersedes ~impl:Engine.Reference);
-          Alcotest.test_case "timer cancel" `Quick
-            (test_stop_timer_cancels ~impl:Engine.Fast);
-          Alcotest.test_case "timer cancel (reference)" `Quick
-            (test_stop_timer_cancels ~impl:Engine.Reference);
+          Alcotest.test_case "timer reset" `Quick test_timer_reset_supersedes;
+          Alcotest.test_case "timer cancel" `Quick test_stop_timer_cancels;
           Alcotest.test_case "late-interned timer" `Quick
-            (test_late_interned_timer ~impl:Engine.Fast);
-          Alcotest.test_case "late-interned timer (reference)" `Quick
-            (test_late_interned_timer ~impl:Engine.Reference);
+            test_late_interned_timer;
         ] );
       ( "interference",
         [
