@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke clean
+.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke perfbench-smoke clean
 
 build:
 	dune build @all
@@ -117,6 +117,24 @@ attack-smoke:
 	  --domains 1 --cache-dir _build/attack_cache_a > _build/attack_warm.out
 	diff -u _build/attack_d1.out _build/attack_warm.out
 	@echo "MC certification byte-identical across domain counts and warm cache"
+
+# Discrete-event drift check: one traced second of each DES workload of the
+# repository benchmark at seed 1.  perfbench compares every output line
+# (capture rows, schedule digests, event counters) against
+# perfbench/expected/; the result line must say "correct":true with no
+# failed operation.
+perfbench-smoke:
+	@mkdir -p _build
+	@for w in fig5_des des_churn; do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 1 \
+	    > _build/perfbench_$$w.out || exit 1; \
+	  last=$$(tail -n 1 _build/perfbench_$$w.out); \
+	  case "$$last" in *'"correct":true,'*) ;; \
+	    *) echo "perfbench-smoke: $$w output differs from perfbench/expected/$$w.txt" >&2; exit 1;; esac; \
+	  case "$$last" in *'"failed":0,'*) ;; \
+	    *) echo "perfbench-smoke: $$w had failed operations" >&2; exit 1;; esac; \
+	  echo "perfbench-smoke: $$w correct, no failed operations"; \
+	done
 
 clean:
 	dune clean

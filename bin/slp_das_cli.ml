@@ -653,31 +653,17 @@ let scale_wave_program ~self =
       else [] )
   in
   let go =
-    {
-      Slpdas_gcn.name = "go";
-      handler =
-        (fun ~self:_ wave trigger ->
-          match trigger with
-          | Slpdas_gcn.Timeout t when Slpdas_gcn.Timer.equal t go_timer ->
-            Some
-              ( wave + 1,
-                [
-                  Slpdas_gcn.Broadcast (wave + 1);
-                  Slpdas_gcn.Set_timer { timer = go_timer; after = 1.0 };
-                ] )
-          | _ -> None);
-    }
+    Slpdas_gcn.on_timeout "go" go_timer (fun ~self:_ wave ->
+        Some
+          ( wave + 1,
+            [
+              Slpdas_gcn.Broadcast (wave + 1);
+              Slpdas_gcn.Set_timer { timer = go_timer; after = 1.0 };
+            ] ))
   in
   let forward =
-    {
-      Slpdas_gcn.name = "forward";
-      handler =
-        (fun ~self:_ wave trigger ->
-          match trigger with
-          | Slpdas_gcn.Receive { msg; _ } when msg > wave ->
-            Some (msg, [ Slpdas_gcn.Broadcast msg ])
-          | _ -> None);
-    }
+    Slpdas_gcn.on_receive "forward" (fun ~self:_ wave ~sender:_ msg ->
+        if msg > wave then Some (msg, [ Slpdas_gcn.Broadcast msg ]) else None)
   in
   ignore self;
   { Slpdas_gcn.init; actions = [ go; forward ]; spontaneous = [] }

@@ -115,95 +115,61 @@ let program config ~self:_ =
      we keep a per-id fakeness map implicitly: ids are odd iff fake. *)
   let actions =
     [
-      {
-        Slpdas_gcn.name = "hello";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t
-              when Slpdas_gcn.Timer.equal t hello_timer && s.hello_remaining > 0
-              ->
+      Slpdas_gcn.on_timeout "hello" hello_timer (fun ~self:_ s ->
+          if s.hello_remaining <= 0 then None
+          else
+            Some
+              ( { s with hello_remaining = s.hello_remaining - 1 },
+                Slpdas_gcn.Broadcast Hello
+                ::
+                (if s.hello_remaining > 1 then
+                   [ Slpdas_gcn.Set_timer { timer = hello_timer; after = 1.0 } ]
+                 else []) ));
+      Slpdas_gcn.on_timeout "generate" gen_timer (fun ~self:_ s ->
+          let id = real_id s.next_real in
+          let s = { s with next_real = s.next_real + 1 } in
+          let s, effects = start_flood s ~id ~fake:false in
+          Some
+            ( s,
+              effects
+              @ [
+                  Slpdas_gcn.Set_timer
+                    { timer = gen_timer; after = s.config.source_period };
+                ] ));
+      Slpdas_gcn.on_timeout "generate-fake" fake_timer (fun ~self s ->
+          let id = fake_id ~self s.next_fake in
+          let s = { s with next_fake = s.next_fake + 1 } in
+          let s, effects = start_flood s ~id ~fake:true in
+          Some
+            ( s,
+              effects
+              @ [
+                  Slpdas_gcn.Set_timer
+                    { timer = fake_timer; after = s.config.fake_period };
+                ] ));
+      Slpdas_gcn.on_any_timeout "forward" (fun ~self:_ s t ->
+          let name = Slpdas_gcn.Timer.name t in
+          if String.length name > 4 && String.sub name 0 4 = "fwd-" then
+            let id = int_of_string (String.sub name 4 (String.length name - 4)) in
+            Some (s, [ Slpdas_gcn.Broadcast (Flood { id; fake = id land 1 = 1 }) ])
+          else None);
+      Slpdas_gcn.on_receive "receive" (fun ~self s ~sender msg ->
+          match msg with
+          | Hello -> Some ({ s with neighbours = Int_set.add sender s.neighbours }, [])
+          | Flood { id; fake } ->
+            if Int_set.mem id s.seen then Some (s, [])
+            else if self = s.config.sink then
               Some
-                ( { s with hello_remaining = s.hello_remaining - 1 },
-                  Slpdas_gcn.Broadcast Hello
-                  ::
-                  (if s.hello_remaining > 1 then
-                     [ Slpdas_gcn.Set_timer { timer = hello_timer; after = 1.0 } ]
-                   else []) )
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "generate";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t when Slpdas_gcn.Timer.equal t gen_timer ->
-              let id = real_id s.next_real in
-              let s = { s with next_real = s.next_real + 1 } in
-              let s, effects = start_flood s ~id ~fake:false in
-              Some
-                ( s,
-                  effects
-                  @ [
-                      Slpdas_gcn.Set_timer
-                        { timer = gen_timer; after = s.config.source_period };
-                    ] )
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "generate-fake";
-        handler =
-          (fun ~self s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t when Slpdas_gcn.Timer.equal t fake_timer ->
-              let id = fake_id ~self s.next_fake in
-              let s = { s with next_fake = s.next_fake + 1 } in
-              let s, effects = start_flood s ~id ~fake:true in
-              Some
-                ( s,
-                  effects
-                  @ [
-                      Slpdas_gcn.Set_timer
-                        { timer = fake_timer; after = s.config.fake_period };
-                    ] )
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "forward";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t
-              when (let name = Slpdas_gcn.Timer.name t in
-                    String.length name > 4 && String.sub name 0 4 = "fwd-") ->
-              let name = Slpdas_gcn.Timer.name t in
-              let id = int_of_string (String.sub name 4 (String.length name - 4)) in
-              Some (s, [ Slpdas_gcn.Broadcast (Flood { id; fake = id land 1 = 1 }) ])
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "receive";
-        handler =
-          (fun ~self s trigger ->
-            match trigger with
-            | Slpdas_gcn.Receive { sender; msg = Hello } ->
-              Some ({ s with neighbours = Int_set.add sender s.neighbours }, [])
-            | Slpdas_gcn.Receive { sender = _; msg = Flood { id; fake } } ->
-              if Int_set.mem id s.seen then Some (s, [])
-              else if self = s.config.sink then
-                Some
-                  ( {
-                      s with
-                      seen = Int_set.add id s.seen;
-                      received_real =
-                        (if fake then s.received_real else id :: s.received_real);
-                      received_fake =
-                        (if fake then s.received_fake + 1 else s.received_fake);
-                    },
-                    [] )
-              else Some (start_flood s ~id ~fake)
-            | Slpdas_gcn.Timeout _ | Slpdas_gcn.Round_end -> None);
-      };
+                ( {
+                    s with
+                    seen = Int_set.add id s.seen;
+                    received_real =
+                      (if fake then s.received_real else id :: s.received_real);
+                    received_fake =
+                      (if fake then s.received_fake + 1 else s.received_fake);
+                  },
+                  [] )
+            else Some (start_flood s ~id ~fake));
     ]
   in
   { Slpdas_gcn.init; actions; spontaneous = [] }

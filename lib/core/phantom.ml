@@ -193,49 +193,21 @@ let program config ~self:_ =
   in
   let actions =
     [
-      {
-        Slpdas_gcn.name = "hello";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t
-              when Slpdas_gcn.Timer.equal t hello_timer && s.hello_remaining > 0
-              ->
-              Some
-                ( { s with hello_remaining = s.hello_remaining - 1 },
-                  Slpdas_gcn.Broadcast Hello
-                  ::
-                  (if s.hello_remaining > 1 then
-                     [ Slpdas_gcn.Set_timer { timer = hello_timer; after = 1.0 } ]
-                   else []) )
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "generate";
-        handler =
-          (fun ~self s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t when Slpdas_gcn.Timer.equal t gen_timer ->
-              Some (on_generate ~self s)
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "forward";
-        handler =
-          (fun ~self s trigger ->
-            match trigger with
-            | Slpdas_gcn.Timeout t -> on_timeout ~self s t
-            | _ -> None);
-      };
-      {
-        Slpdas_gcn.name = "receive";
-        handler =
-          (fun ~self s trigger ->
-            match trigger with
-            | Slpdas_gcn.Receive { sender; msg } ->
-              Some (on_receive ~self s ~sender msg)
-            | _ -> None);
-      };
+      Slpdas_gcn.on_timeout "hello" hello_timer (fun ~self:_ s ->
+          if s.hello_remaining <= 0 then None
+          else
+            Some
+              ( { s with hello_remaining = s.hello_remaining - 1 },
+                Slpdas_gcn.Broadcast Hello
+                ::
+                (if s.hello_remaining > 1 then
+                   [ Slpdas_gcn.Set_timer { timer = hello_timer; after = 1.0 } ]
+                 else []) ));
+      Slpdas_gcn.on_timeout "generate" gen_timer (fun ~self s ->
+          Some (on_generate ~self s));
+      Slpdas_gcn.on_any_timeout "forward" on_timeout;
+      Slpdas_gcn.on_receive "receive" (fun ~self s ~sender msg ->
+          Some (on_receive ~self s ~sender msg));
     ]
   in
   { Slpdas_gcn.init; actions; spontaneous = [] }

@@ -75,6 +75,11 @@ type state = {
 
 let slot_of_state s = s.slot
 
+(* Typed equality helpers for the hot path (the [poly-eq] lint scope). *)
+let is_slp c = match c.mode with Slp -> true | Protectionless -> false
+
+let is_some_of v = function Some x -> Int.equal x v | None -> false
+
 module Timer = struct
   let hello = Slpdas_gcn.Timer.intern "hello"
   let dissem = Slpdas_gcn.Timer.intern "dissem"
@@ -88,23 +93,21 @@ end
    so they do not all hit the channel at the same instant (needed when the
    engine models transmission airtime; harmless otherwise).  Derived from a
    stateless hash so it does not perturb the per-node random streams. *)
-let dissem_jitter c ~node ~round =
-  let r =
-    Slpdas_util.Rng.create
-      ((c.run_seed * 31) lxor (node * 2_097_593) lxor (round * 613))
-  in
-  Slpdas_util.Rng.float r (0.3 *. c.dissemination_period)
+let[@inline] dissem_jitter c ~node ~round =
+  Slpdas_util.Rng.float_of_seed
+    ((c.run_seed * 31) lxor (node * 2_097_593) lxor (round * 613))
+    (0.3 *. c.dissemination_period)
 
 (* Run-salted deterministic hash: gives every (parent, child) pair a
    pseudo-random rank key that all siblings compute identically, standing in
    for the arrival-order noise that randomises ranks in the paper's TOSSIM
    runs. *)
 let rank_key ~seed ~parent ~node =
-  let r =
-    Slpdas_util.Rng.create
-      ((seed * 1_000_003) lxor (parent * 8191) lxor (node * 131))
-  in
-  Int64.to_int (Int64.logand (Slpdas_util.Rng.bits64 r) 0x3FFFFFFFFFFFFFFFL)
+  Int64.to_int
+    (Int64.logand
+       (Slpdas_util.Rng.bits64_of_seed
+          ((seed * 1_000_003) lxor (parent * 8191) lxor (node * 131)))
+       0x3FFFFFFFFFFFFFFFL)
 
 let ninfo_slot s v =
   match Int_map.find_opt v s.ninfo with
@@ -186,6 +189,40 @@ let dissem_payload ~self s =
   let self_entry = (self, Int_map.find_opt self s.ninfo) in
   Messages.Dissem { normal = s.normal; info = entries @ [ self_entry ]; parent = s.parent }
 
+let ninfo_equal (a : Messages.ninfo) (b : Messages.ninfo) =
+  Int.equal a.Messages.hop b.Messages.hop && Int.equal a.Messages.slot b.Messages.slot
+
+(* [sent_is_current ~self s] holds when [s.last_sent] is exactly the payload
+   [dissem_payload ~self s] would build now.  Walks the state against the
+   sent message instead of building a fresh payload to compare. *)
+let sent_is_current ~self s =
+  let entry_current (v, e) w =
+    Int.equal v w && Option.equal ninfo_equal e (Int_map.find_opt w s.ninfo)
+  in
+  match s.last_sent with
+  | Some (Messages.Dissem { normal; info; parent }) ->
+    Bool.equal normal s.normal
+    && Option.equal Int.equal parent s.parent
+    &&
+    (* [info] lists the neighbours in ascending order, then [self]. *)
+    begin match
+      Int_set.fold
+        (fun v rest ->
+          match rest with
+          | e :: tl when entry_current e v -> tl
+          | _ -> raise_notrace Exit)
+        s.neighbours info
+    with
+    | [ e ] -> entry_current e self
+    | _ -> false
+    | exception Exit -> false
+    end
+  | Some
+      ( Messages.Hello | Messages.Search _ | Messages.Change _ | Messages.Data _
+      | Messages.Neighbour_down _ | Messages.Release _ )
+  | None ->
+    false
+
 (* ------------------------------------------------------------------ *)
 (* Receive handlers                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -196,9 +233,10 @@ let on_hello ~self:_ s ~sender =
 let common_dissem_update ~self s ~sender ~info ~sender_parent =
   let s = { s with neighbours = Int_set.add sender s.neighbours } in
   let children =
-    if sender_parent = Some self then Int_set.add sender s.children
-    else if sender_parent <> None then Int_set.remove sender s.children
-    else s.children
+    match sender_parent with
+    | Some p when Int.equal p self -> Int_set.add sender s.children
+    | Some _ -> Int_set.remove sender s.children
+    | None -> s.children
   in
   let ninfo, unassigned_seen = merge_info s ~sender info in
   (* A sender advertising *itself* as ⊥ has dropped its assignment (orphan
@@ -210,7 +248,7 @@ let common_dissem_update ~self s ~sender ~info ~sender_parent =
      announcement.  Third-party [None] entries (neighbours the sender merely
      has not heard from) are still only recorded in [unassigned_seen]. *)
   let sender_unassigned =
-    List.exists (fun (v, e) -> v = sender && e = None) info
+    List.exists (fun (v, e) -> v = sender && Option.is_none e) info
   in
   let ninfo = if sender_unassigned then Int_map.remove sender ninfo else ninfo in
   let npar = if sender_unassigned then Int_set.remove sender s.npar else s.npar in
@@ -225,7 +263,7 @@ let common_dissem_update ~self s ~sender ~info ~sender_parent =
    children do re-disseminate while we are slotless. *)
 let record_candidate s ~sender ~info =
   let competitors =
-    List.filter_map (fun (v, e) -> if e = None then Some v else None) info
+    List.filter_map (fun (v, e) -> if Option.is_none e then Some v else None) info
   in
   let others =
     let existing =
@@ -238,13 +276,13 @@ let record_candidate s ~sender ~info =
   { s with npar = Int_set.add sender s.npar; others }
 
 let sender_assigned_in ~sender info =
-  List.exists (fun (v, e) -> v = sender && e <> None) info
+  List.exists (fun (v, e) -> v = sender && Option.is_some e) info
 
 (* receiveN of Fig. 2: a normal dissemination. *)
 let on_dissem_normal ~self s ~sender ~info ~sender_parent =
   let s =
     if
-      s.slot = None
+      Option.is_none s.slot
       && sender_assigned_in ~sender info
       && not (Int_set.mem sender s.children)
     then record_candidate s ~sender ~info
@@ -279,11 +317,11 @@ let on_dissem_update ~self s ~sender ~info ~sender_parent =
      (its [parent] points away from us) is admissible again. *)
   let s =
     if
-      s.slot = None && (not s.normal)
+      Option.is_none s.slot && (not s.normal)
       && self <> s.config.sink
       && sender_assigned_in ~sender info
       && (not (Int_set.mem sender s.children))
-      && sender_parent <> Some self
+      && not (is_some_of self sender_parent)
     then record_candidate s ~sender ~info
     else s
   in
@@ -382,7 +420,7 @@ let on_neighbour_down ~self s ~dead =
         from_ = Int_set.remove dead s.from_;
       }
     in
-    if s.parent = Some dead && self <> s.config.sink then orphan ~self s
+    if is_some_of dead s.parent && self <> s.config.sink then orphan ~self s
     else (s, [])
   end
 
@@ -392,7 +430,7 @@ let on_neighbour_down ~self s ~dead =
    receiveF the ex-parent is alive, so it stays in [neighbours]; it will
    re-adopt us as *its* parent once we re-anchor and disseminate. *)
 let on_release ~self s ~sender ~target =
-  if target <> self || s.parent <> Some sender then (s, [])
+  if target <> self || not (is_some_of sender s.parent) then (s, [])
   else
     orphan ~self
       {
@@ -406,7 +444,7 @@ let on_release ~self s ~sender ~target =
 (* ------------------------------------------------------------------ *)
 
 let choose_parent_and_slot ~self s =
-  if s.slot <> None || Int_set.is_empty s.npar then s
+  if Option.is_some s.slot || Int_set.is_empty s.npar then s
   else begin
     let hops =
       Int_set.fold
@@ -527,11 +565,20 @@ let repair_slot ~self ~strong s =
         let key v =
           Das_build.node_order_key ~salt:s.config.run_seed v
         in
+        (* (my_hop, key self, self) > (jh, key j, j), lexicographically:
+           of two nodes sharing a slot, the larger triple yields. *)
+        let outranks j jh =
+          match Int.compare my_hop jh with
+          | 0 -> (
+            match Int.compare (key self) (key j) with
+            | 0 -> self > j
+            | c -> c > 0)
+          | c -> c > 0
+        in
         let collision =
           Int_map.exists
             (fun j { Messages.hop = jh; slot = js } ->
-              j <> self && js = mine
-              && (my_hop, key self, self) > (jh, key j, j))
+              j <> self && js = mine && outranks j jh)
             s.ninfo
         in
         if collision then Some (mine - 1) else None
@@ -722,17 +769,23 @@ let on_dissem_timer ~self s =
      it must broadcast its ⊥ announcement or converged neighbours never
      learn they have to answer.  Slotless *normal*-mode nodes are ordinary
      Phase-1 joiners and stay silent, as in the paper. *)
-  let repairing = s.slot = None && (not s.normal) && self <> s.config.sink in
-  let eligible = s.slot <> None || self = s.config.sink || repairing in
+  let repairing = Option.is_none s.slot && (not s.normal) && self <> s.config.sink in
+  let eligible = Option.is_some s.slot || self = s.config.sink || repairing in
   if not eligible then (s, rearm)
   else begin
-    let payload = dissem_payload ~self s in
-    let changed = s.last_sent <> Some payload in
+    let current = sent_is_current ~self s in
     let budget =
-      if changed then s.config.dissemination_timeout else s.dissem_budget
+      if current then s.dissem_budget else s.config.dissemination_timeout
     in
     if budget <= 0 then (s, rearm)
     else begin
+      (* The payload is built only to be broadcast; an unchanged one is
+         re-sent as is. *)
+      let payload =
+        match s.last_sent with
+        | Some sent when current -> sent
+        | Some _ | None -> dissem_payload ~self s
+      in
       let s =
         {
           s with
@@ -763,7 +816,7 @@ let on_process_timer ~self s =
   else begin
     let rounds_elapsed = setup_rounds s.config - s.process_rounds_left in
     let strong =
-      s.config.mode = Protectionless
+      (not (is_slp s.config))
       || rounds_elapsed < strong_repair_rounds s.config
     in
     let s = choose_parent_and_slot ~self s in
@@ -772,7 +825,7 @@ let on_process_timer ~self s =
   end
 
 let on_search_timer ~self s =
-  if self <> s.config.sink || s.search_sent || s.config.mode <> Slp then (s, [])
+  if self <> s.config.sink || s.search_sent || not (is_slp s.config) then (s, [])
   else begin
     match min_slot_child s with
     | None -> (s, [])
@@ -789,7 +842,7 @@ let on_period_timer ~self s =
   (* Reliable mode: readings whose snoop-ack never arrived are retried in
      this period's transmission. *)
   let s =
-    if s.config.reliable_data && s.awaiting_ack <> [] then
+    if s.config.reliable_data && not (List.is_empty s.awaiting_ack) then
       {
         s with
         pending_readings =
@@ -842,8 +895,8 @@ let on_data ~self s ~sender ~readings =
   let s =
     if
       s.config.reliable_data
-      && s.parent = Some sender
-      && s.awaiting_ack <> []
+      && is_some_of sender s.parent
+      && not (List.is_empty s.awaiting_ack)
     then
       {
         s with
@@ -951,7 +1004,7 @@ let program config ~self:_ =
       ]
     in
     let effects =
-      if self = config.sink && config.mode = Slp then
+      if self = config.sink && is_slp config then
         effects
         @ [
             Slpdas_gcn.Set_timer
@@ -965,27 +1018,9 @@ let program config ~self:_ =
     in
     (s, effects)
   in
-  let receive name f =
-    {
-      Slpdas_gcn.name;
-      handler =
-        (fun ~self s trigger ->
-          match trigger with
-          | Slpdas_gcn.Receive { sender; msg } -> f ~self s ~sender msg
-          | Slpdas_gcn.Timeout _ | Slpdas_gcn.Round_end -> None);
-    }
-  in
+  let receive = Slpdas_gcn.on_receive in
   let timeout name timer f =
-    {
-      Slpdas_gcn.name;
-      handler =
-        (fun ~self s trigger ->
-          match trigger with
-          | Slpdas_gcn.Timeout t when Slpdas_gcn.Timer.equal t timer ->
-            Some (f ~self s)
-          | Slpdas_gcn.Timeout _ | Slpdas_gcn.Receive _ | Slpdas_gcn.Round_end
-            -> None);
-    }
+    Slpdas_gcn.on_timeout name timer (fun ~self s -> Some (f ~self s))
   in
   let actions =
     [
@@ -1005,12 +1040,12 @@ let program config ~self:_ =
           | _ -> None);
       receive "receiveS" (fun ~self s ~sender msg ->
           match msg with
-          | Messages.Search { target; ttl } when s.config.mode = Slp ->
+          | Messages.Search { target; ttl } when is_slp s.config ->
             Some (on_search ~self s ~sender ~target ~ttl)
           | _ -> None);
       receive "receiveC" (fun ~self s ~sender msg ->
           match msg with
-          | Messages.Change { target; base_slot; ttl } when s.config.mode = Slp ->
+          | Messages.Change { target; base_slot; ttl } when is_slp s.config ->
             Some (on_change ~self s ~sender ~target ~base_slot ~ttl)
           | _ -> None);
       receive "receiveData" (fun ~self s ~sender msg ->

@@ -13,13 +13,21 @@
     the environment (radio, timers) is expressed as {!type:effect_} values
     interpreted by the host (the discrete-event engine, or a test harness).
 
-    Semantics of a delivered trigger: actions are tried in declaration order
-    and the first enabled one fires (a deterministic refinement of GCN's
-    nondeterministic choice — necessary for reproducible simulation).  After
-    any action fires, {e spontaneous} actions (guards over state only, the
-    bare-predicate guards of the paper such as [startR :: startNode → …]) are
-    run to fixpoint.  A well-formed spontaneous action must falsify its own
-    guard; the runtime enforces termination with a fuel bound. *)
+    Semantics of a delivered trigger: every action declares the trigger it
+    can fire on ({!type:key}: one named timer, any timeout, a receive, or
+    anything), and a trigger is offered only to the actions declared for
+    it, in declaration order; the first enabled one fires (a deterministic
+    refinement of GCN's nondeterministic choice — necessary for
+    reproducible simulation).  {!Instance.create} indexes the actions by
+    key once, so dispatching a timeout calls just the handlers of that
+    timer instead of scanning the whole program.  After an action fires,
+    {e spontaneous} actions (guards over state only, the bare-predicate
+    guards of the paper such as [startR :: startNode → …]) are run to
+    fixpoint: each round fires the first spontaneous action whose guard
+    holds.  A well-formed spontaneous action must falsify its own guard;
+    the runtime enforces termination with a fuel bound.  An instance
+    counts how often each action has fired ({!Instance.fire_counts}); it
+    keeps no per-event trace, so its memory does not grow with the run. *)
 
 (** Interned timer identities.
 
@@ -70,11 +78,52 @@ type 'm effect_ =
       (** (re)arm a one-shot timer [after] seconds from now *)
   | Stop_timer of Timer.t  (** cancel a timer; no-op if not armed *)
 
+(** The trigger an action can fire on: the dispatch key. *)
+type key =
+  | On_timer of Timer.t  (** [Timeout t] for this one timer *)
+  | On_any_timeout  (** every [Timeout _], e.g. dynamically named timers *)
+  | On_receive  (** every [Receive _] *)
+  | On_any  (** every trigger, [Round_end] included *)
+
 type ('s, 'm) action = {
   name : string;
+  on : key;
+      (** the triggers this action is offered; others never reach
+          [handler] through {!Instance.deliver} *)
   handler : self:int -> 's -> 'm trigger -> ('s * 'm effect_ list) option;
       (** [None] when the guard is false for this state/trigger. *)
 }
+
+(** {2 Action constructors}
+
+    Each builds an action keyed on one trigger form whose [handler] also
+    rejects every other trigger, so calling it directly is safe. *)
+
+val on_timeout :
+  string ->
+  Timer.t ->
+  (self:int -> 's -> ('s * 'm effect_ list) option) ->
+  ('s, 'm) action
+(** [on_timeout name timer f]: [⟨name⟩ :: timeout(timer) ∧ guard → …];
+    [f] returns [None] when the rest of the guard is false. *)
+
+val on_any_timeout :
+  string ->
+  (self:int -> 's -> Timer.t -> ('s * 'm effect_ list) option) ->
+  ('s, 'm) action
+(** [on_any_timeout name f] is offered every timeout, with the timer. *)
+
+val on_receive :
+  string ->
+  (self:int -> 's -> sender:int -> 'm -> ('s * 'm effect_ list) option) ->
+  ('s, 'm) action
+(** [on_receive name f]: [⟨name⟩ :: rcv(sender, msg) ∧ guard → …]. *)
+
+val on_any :
+  string ->
+  (self:int -> 's -> 'm trigger -> ('s * 'm effect_ list) option) ->
+  ('s, 'm) action
+(** [on_any name handler] is offered every trigger. *)
 
 type ('s, 'm) spontaneous = {
   sname : string;
@@ -108,12 +157,13 @@ module Instance : sig
   (** Current state (for observers and tests). *)
 
   val deliver : ('s, 'm) t -> 'm trigger -> 'm effect_ list
-  (** [deliver t trigger] runs the first enabled action for [trigger] (if
-      any), then spontaneous actions to fixpoint, and returns the effects in
-      emission order.  A trigger no action is enabled for is silently
-      dropped, like a message arriving in a state that ignores it. *)
+  (** [deliver t trigger] runs the first enabled action declared for
+      [trigger] (if any), then spontaneous actions to fixpoint, and returns
+      the effects in emission order.  A trigger no action is enabled for is
+      silently dropped, like a message arriving in a state that ignores
+      it. *)
 
-  val fired : ('s, 'm) t -> string list
-  (** Names of all actions fired so far, most recent first: the event trace
-      of §III-A ("event ⟨name⟩ has occurred"). *)
+  val fire_counts : ('s, 'm) t -> (string * int) list
+  (** [(name, n)] for every guarded action in declaration order, then every
+      spontaneous action: how many times each has fired so far. *)
 end

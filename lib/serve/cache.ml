@@ -136,18 +136,27 @@ module Make (C : CODEC) = struct
   let disk_write t key answer =
     match path_of t key with
     | None -> ()
-    | Some path ->
-      let tmp = path ^ ".tmp" in
-      (try
-         Out_channel.with_open_text tmp (fun oc ->
-             Out_channel.output_string oc C.header;
-             Out_channel.output_char oc '\n';
-             Out_channel.output_string oc key;
-             Out_channel.output_char oc '\n';
-             Out_channel.output_string oc (C.encode answer);
-             Out_channel.output_char oc '\n');
-         Sys.rename tmp path
-       with Sys_error _ -> ())
+    | Some path -> (
+      (* Each write goes to its own freshly created temp file in the same
+         directory, then is renamed into place.  Concurrent writers of one
+         key (domains or processes) never share a temp file, and the rename
+         is atomic, so a reader sees either no entry or a complete one. *)
+      match
+        Filename.temp_file ~temp_dir:(Filename.dirname path)
+          (Filename.basename path) ".tmp"
+      with
+      | exception Sys_error _ -> ()
+      | tmp -> (
+        try
+          Out_channel.with_open_text tmp (fun oc ->
+              Out_channel.output_string oc C.header;
+              Out_channel.output_char oc '\n';
+              Out_channel.output_string oc key;
+              Out_channel.output_char oc '\n';
+              Out_channel.output_string oc (C.encode answer);
+              Out_channel.output_char oc '\n');
+          Sys.rename tmp path
+        with Sys_error _ -> ( try Sys.remove tmp with Sys_error _ -> ())))
 
   let find t query =
     let key = C.key query in

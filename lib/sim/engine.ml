@@ -43,31 +43,30 @@ type 'm coupling = {
   send : at:float -> src:int -> sseq:int -> target:int -> msg:'m -> unit;
 }
 
+(* A pending event is one {!Event_queue} entry: its keys and int payload
+   words live unboxed in the queue's arrays, and [event_kind] is the boxed
+   payload.  The int words are [node] plus [x] and [y] as noted per kind, so
+   a timer fire — most of a run's events — is a constant constructor and
+   costs no allocation while it waits.
+
+   The ordering key is [(at, seq)].  Coupled engines order same-time events
+   by a stable content-based key [(k1, k2)] instead: [k1] is the global id
+   of the node whose processing pushed the event (-1 for harness pushes),
+   [k2] that node's own monotone push counter.  The key depends only on
+   *what* pushed the event, never on the global push schedule, so a coupled
+   cell and the unsharded sequential engine order the same events
+   identically.  Uncoupled engines leave both at 0. *)
 type ('s, 'm) event_kind =
-  | Timer_fire of { node : int; timer : Slpdas_gcn.Timer.t; generation : int }
-  | Deliver of { node : int; sender : int; msg : 'm }
-      (* One arrival: below the batch cutover and under coupling. *)
-  | Deliver_batch of { sender : int; recipients : int array; msg : 'm }
-      (* One event per broadcast above the batch cutover;
+  | Timer_fire  (* node; x = interned timer id; y = generation *)
+  | Deliver of 'm
+      (* node = recipient; x = observable sender id.  One arrival: below the
+         batch cutover and under coupling. *)
+  | Deliver_batch of { recipients : int array; msg : 'm }
+      (* x = sender.  One event per broadcast above the batch cutover;
          [propagation_delay] is a constant, so all of a broadcast's arrivals
          share one timestamp and expand at pop time in adjacency order —
          the order singleton events would be pushed (and popped) in. *)
   | Callback of (('s, 'm) t -> unit)
-
-and ('s, 'm) event = {
-  at : float;
-  seq : int;
-  (* Stable content-based ordering key, used instead of [seq] as the
-     same-time tiebreaker when the engine is coupled: [k1] is the global id
-     of the node whose processing pushed the event (-1 for harness pushes),
-     [k2] that node's own monotone push counter.  The key depends only on
-     *what* pushed the event, never on the global push schedule, so a
-     coupled cell and the unsharded sequential engine order the same events
-     identically.  Uncoupled engines leave both at 0 and order by [seq]. *)
-  k1 : int;
-  k2 : int;
-  kind : ('s, 'm) event_kind;
-}
 
 and ('s, 'm) t = {
   topology : Slpdas_wsn.Topology.t;
@@ -87,7 +86,7 @@ and ('s, 'm) t = {
   program : self:int -> ('s, 'm) Slpdas_gcn.program;
       (* kept so [revive_node] can boot a fresh instance for a crashed node *)
   instances : ('s, 'm) Slpdas_gcn.Instance.t array;
-  queue : ('s, 'm) event Slpdas_util.Heap.t;
+  queue : ('s, 'm) event_kind Event_queue.t;
   (* Timer generations as one flat int array of n × [gen_stride]
      slots, gens.((node * gen_stride) + Timer.id) — a single allocation
      sized once at [create] instead of an array per node.  The stride grows
@@ -95,6 +94,10 @@ and ('s, 'm) t = {
      mid-run. *)
   mutable gens : int array;
   mutable gen_stride : int;
+  mutable timeouts : 'm Slpdas_gcn.trigger array;
+      (* timeouts.(id): the [Timeout] trigger of interned timer [id], built
+         once when the timer is first armed and shared by all its fires;
+         [Round_end] until then.  Sized [gen_stride]. *)
   link_cache : link_cache;
   neighbours : int array array;  (* cached adjacency rows *)
   batch_deliveries : bool;
@@ -131,21 +134,6 @@ and ('s, 'm) t = {
   mutable cur_k2 : int;
 }
 
-let compare_events a b =
-  match Float.compare a.at b.at with 0 -> Int.compare a.seq b.seq | c -> c
-
-(* Coupled ordering: (at, k1, k2) is schedule-independent and unique per
-   event ((k1, k2) alone never repeats), so the [seq] fallback is a pure
-   safety net for totality. *)
-let compare_events_stable a b =
-  match Float.compare a.at b.at with
-  | 0 -> (
-    match Int.compare a.k1 b.k1 with
-    | 0 -> (
-      match Int.compare a.k2 b.k2 with 0 -> Int.compare a.seq b.seq | c -> c)
-    | c -> c)
-  | c -> c
-
 (* Observable node identity: a coupled engine reports global ids on the
    event bus while indexing instances/state by local id. *)
 let gid t v = match t.coupling with None -> v | Some c -> c.global_ids.(v)
@@ -156,7 +144,7 @@ let topology t = t.topology
 
 let node_state t v = Slpdas_gcn.Instance.state t.instances.(v)
 
-let node_fired t v = Slpdas_gcn.Instance.fired t.instances.(v)
+let node_fire_counts t v = Slpdas_gcn.Instance.fire_counts t.instances.(v)
 
 (* A Queue keeps registration O(1) while preserving registration order. *)
 let subscribe t f = Queue.add f t.subscribers
@@ -233,34 +221,29 @@ let fault_dropped t rng u v =
   | None -> false)
   || (t.global_loss > 0.0 && Slpdas_util.Rng.bernoulli rng t.global_loss)
 
-let push t ~at kind =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let k1, k2 =
-    match t.coupling with
-    | None -> (0, 0)
-    | Some c ->
-      let src = t.cur_src in
-      if src >= 0 then begin
-        let s = t.sseq.(src) in
-        t.sseq.(src) <- s + 1;
-        (c.global_ids.(src), s)
-      end
-      else begin
-        let s = t.harness_sseq in
-        t.harness_sseq <- s + 1;
-        (-1, s)
-      end
-  in
-  Slpdas_util.Heap.push t.queue { at; seq; k1; k2; kind }
-
 (* Push with an explicit stable key: a boundary delivery carries the key its
    sender's cell assigned, which is the key the unsharded engine would have
    assigned to the same push. *)
-let push_keyed t ~at ~k1 ~k2 kind =
+let push_keyed t ~at ~k1 ~k2 ~node ~x ~y kind =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Slpdas_util.Heap.push t.queue { at; seq; k1; k2; kind }
+  Event_queue.push t.queue ~at ~seq ~k1 ~k2 ~node ~x ~y kind
+
+let push t ~at ~node ~x ~y kind =
+  match t.coupling with
+  | None -> push_keyed t ~at ~k1:0 ~k2:0 ~node ~x ~y kind
+  | Some c ->
+    let src = t.cur_src in
+    if src >= 0 then begin
+      let s = t.sseq.(src) in
+      t.sseq.(src) <- s + 1;
+      push_keyed t ~at ~k1:c.global_ids.(src) ~k2:s ~node ~x ~y kind
+    end
+    else begin
+      let s = t.harness_sseq in
+      t.harness_sseq <- s + 1;
+      push_keyed t ~at ~k1:(-1) ~k2:s ~node ~x ~y kind
+    end
 
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: time is in the past";
@@ -268,17 +251,13 @@ let schedule t ~at f =
      effects are on the stack, so keys depend only on who schedules. *)
   let prev = t.cur_src in
   t.cur_src <- -1;
-  push t ~at (Callback f);
+  push t ~at ~node:0 ~x:0 ~y:0 (Callback f);
   t.cur_src <- prev
 
 (* Timer bookkeeping: one flat array indexed by (node, interned timer id).
    The stride starts sized to the intern registry and grows (amortised
    doubling, all rows re-laid-out) when a program mints timer names
    mid-run. *)
-let timer_generation t node timer =
-  let id = Slpdas_gcn.Timer.id timer in
-  if id < t.gen_stride then t.gens.((node * t.gen_stride) + id) else 0
-
 let grow_gen_stride t want =
   let n = Array.length t.failed in
   let stride' = max want ((2 * t.gen_stride) + 1) in
@@ -286,7 +265,10 @@ let grow_gen_stride t want =
   for v = 0 to n - 1 do
     Array.blit t.gens (v * t.gen_stride) gens' (v * stride') t.gen_stride
   done;
+  let timeouts' = Array.make stride' Slpdas_gcn.Round_end in
+  Array.blit t.timeouts 0 timeouts' 0 t.gen_stride;
   t.gens <- gens';
+  t.timeouts <- timeouts';
   t.gen_stride <- stride'
 
 let bump_timer_generation t node timer =
@@ -410,9 +392,8 @@ let rec apply_effects t node effects =
               incr count
             end
             else
-              push t
-                ~at:(t.now +. propagation_delay)
-                (Deliver { node = v; sender = node; msg })
+              push t ~at:(t.now +. propagation_delay) ~node:v ~x:node ~y:0
+                (Deliver msg)
           in
           (match t.link_cache with
           | Always_delivered when not faults && batch ->
@@ -439,13 +420,15 @@ let rec apply_effects t node effects =
               else drop v
             done);
           if batch && !count > 0 then
-            push t
-              ~at:(t.now +. propagation_delay)
-              (Deliver_batch
-                 { sender = node; recipients = Array.sub scratch 0 !count; msg }))
+            push t ~at:(t.now +. propagation_delay) ~node:0 ~x:node ~y:0
+              (Deliver_batch { recipients = Array.sub scratch 0 !count; msg }))
       | Slpdas_gcn.Set_timer { timer; after } ->
         let generation = bump_timer_generation t node timer in
-        push t ~at:(t.now +. after) (Timer_fire { node; timer; generation })
+        let id = Slpdas_gcn.Timer.id timer in
+        (match t.timeouts.(id) with
+        | Slpdas_gcn.Round_end -> t.timeouts.(id) <- Slpdas_gcn.Timeout timer
+        | Slpdas_gcn.Timeout _ | Slpdas_gcn.Receive _ -> ());
+        push t ~at:(t.now +. after) ~node ~x:id ~y:generation Timer_fire
       | Slpdas_gcn.Stop_timer timer ->
         ignore (bump_timer_generation t node timer))
     effects;
@@ -526,7 +509,7 @@ and coupled_broadcast t c node msg ~faults =
       in
       if not delivered then drop c.global_ids.(v)
       else if faults && fault_dropped t lane node v then drop c.global_ids.(v)
-      else push t ~at (Deliver { node = v; sender = gnode; msg })
+      else push t ~at ~node:v ~x:gnode ~y:0 (Deliver msg)
     end
   done
 
@@ -638,12 +621,10 @@ let create ?airtime ?coupling ~topology ~link ~rng ~program () =
       invalid_arg "Engine.create: coupling.lanes must cover every node";
     if Array.length c.ports_off <> n + 1 then
       invalid_arg "Engine.create: coupling.ports_off must have n + 1 offsets");
-  let cmp =
-    match coupling with
-    | None -> compare_events
-    | Some _ -> compare_events_stable
-  in
-  let queue = Slpdas_util.Heap.create ~cmp in
+  (* Coupled ordering: (at, k1, k2) is schedule-independent and unique per
+     event ((k1, k2) alone never repeats), so the [seq] fallback is a pure
+     safety net for totality. *)
+  let queue = Event_queue.create ~stable:(Option.is_some coupling) Timer_fire in
   let self_of v =
     match coupling with None -> v | Some c -> c.global_ids.(v)
   in
@@ -696,6 +677,7 @@ let create ?airtime ?coupling ~topology ~link ~rng ~program () =
       queue;
       gens = Array.make (n * timer_slots) 0;
       gen_stride = timer_slots;
+      timeouts = Array.make timer_slots Slpdas_gcn.Round_end;
       link_cache = build_link_cache ~topology ~link ~neighbours;
       neighbours;
       batch_deliveries =
@@ -755,29 +737,35 @@ let deliver_one t ~node ~sender ~tx_time msg =
     inject t ~node (Slpdas_gcn.Receive { sender; msg })
   end
 
-let process t event =
-  t.now <- event.at;
-  t.cur_k1 <- event.k1;
-  t.cur_k2 <- event.k2;
-  match event.kind with
-  | Timer_fire { node; timer; generation } ->
+let process t ~at ~k1 ~k2 ~node ~x ~y kind =
+  t.now <- at;
+  t.cur_k1 <- k1;
+  t.cur_k2 <- k2;
+  match kind with
+  | Timer_fire ->
     (* Stale fires (superseded by a later Set/Stop_timer) are dropped
        silently: they never reach the node, so they are not events. *)
-    if generation = timer_generation t node timer then begin
+    if y = t.gens.((node * t.gen_stride) + x) then begin
+      let trigger = t.timeouts.(x) in
       Event.count_timer_fire t.tally ~time:t.now;
-      if listening t then
-        notify t
-          (Event.Timer_fire
-             {
-               time = t.now;
-               node = gid t node;
-               timer = Slpdas_gcn.Timer.name timer;
-             });
-      inject t ~node (Slpdas_gcn.Timeout timer)
+      if listening t then begin
+        (* [timeouts] holds a [Timeout] for every timer ever armed. *)
+        match trigger with
+        | Slpdas_gcn.Timeout timer ->
+          notify t
+            (Event.Timer_fire
+               {
+                 time = t.now;
+                 node = gid t node;
+                 timer = Slpdas_gcn.Timer.name timer;
+               })
+        | Slpdas_gcn.Receive _ | Slpdas_gcn.Round_end -> ()
+      end;
+      inject t ~node trigger
     end
-  | Deliver { node; sender; msg } ->
-    deliver_one t ~node ~sender ~tx_time:(t.now -. propagation_delay) msg
-  | Deliver_batch { sender; recipients; msg } ->
+  | Deliver msg ->
+    deliver_one t ~node ~sender:x ~tx_time:(t.now -. propagation_delay) msg
+  | Deliver_batch { recipients; msg } ->
     (* Expand in push (= adjacency) order.  [halted] is re-checked between
        recipients because singleton events would stop being popped as soon
        as a subscriber called [stop]. *)
@@ -785,53 +773,61 @@ let process t event =
     let k = Array.length recipients in
     let i = ref 0 in
     while (not t.halted) && !i < k do
-      deliver_one t ~node:recipients.(!i) ~sender ~tx_time msg;
+      deliver_one t ~node:recipients.(!i) ~sender:x ~tx_time msg;
       incr i
     done
   | Callback f -> f t
 
+(* Remove the earliest event from the queue, then process it. *)
+let pop_and_process t =
+  let q = t.queue in
+  let at = Event_queue.min_at q
+  and k1 = Event_queue.min_k1 q
+  and k2 = Event_queue.min_k2 q
+  and node = Event_queue.min_node q
+  and x = Event_queue.min_x q
+  and y = Event_queue.min_y q
+  and kind = Event_queue.min_payload q in
+  Event_queue.pop q;
+  process t ~at ~k1 ~k2 ~node ~x ~y kind
+
 let step t =
-  match Slpdas_util.Heap.pop t.queue with
-  | None -> false
-  | Some event ->
-    process t event;
+  if Event_queue.is_empty t.queue then false
+  else begin
+    pop_and_process t;
     true
+  end
 
 let run_until t deadline =
-  let rec loop () =
-    if t.halted then ()
-    else begin
-      match Slpdas_util.Heap.peek t.queue with
-      | Some event when event.at <= deadline ->
-        ignore (Slpdas_util.Heap.pop t.queue);
-        process t event;
-        loop ()
-      | Some _ | None -> t.now <- max t.now deadline
-    end
-  in
-  loop ()
+  let q = t.queue in
+  while
+    (not t.halted)
+    && (not (Event_queue.is_empty q))
+    && Event_queue.min_at q <= deadline
+  do
+    pop_and_process t
+  done;
+  if not t.halted then t.now <- max t.now deadline
 
 (* ------------------------------------------------------------------ *)
 (* Conservative-window driving surface (coupled sharding)             *)
 (* ------------------------------------------------------------------ *)
 
 let next_event_time t =
-  match Slpdas_util.Heap.peek t.queue with
-  | Some event -> Some event.at
-  | None -> None
+  if Event_queue.is_empty t.queue then None
+  else Some (Event_queue.min_at t.queue)
 
 let run_window t ~stop_before ~deadline =
-  let rec loop () =
-    if t.halted then ()
-    else
-      match Slpdas_util.Heap.peek t.queue with
-      | Some event when event.at < stop_before && event.at <= deadline ->
-        ignore (Slpdas_util.Heap.pop t.queue);
-        process t event;
-        loop ()
-      | Some _ | None -> ()
-  in
-  loop ()
+  let q = t.queue in
+  while
+    (not t.halted)
+    && (not (Event_queue.is_empty q))
+    &&
+    let at = Event_queue.min_at q in
+    at < stop_before && at <= deadline
+  do
+    pop_and_process t
+  done
 
 let advance_to t time = if not t.halted then t.now <- max t.now time
 
@@ -841,6 +837,6 @@ let ingest_delivery t ~at ~src ~sseq ~node ~msg =
   | Some _ -> ());
   if node < 0 || node >= Array.length t.failed then
     invalid_arg "Engine.ingest_delivery: node out of range";
-  push_keyed t ~at ~k1:src ~k2:sseq (Deliver { node; sender = src; msg })
+  push_keyed t ~at ~k1:src ~k2:sseq ~node ~x:src ~y:0 (Deliver msg)
 
 let processing_key t = (t.cur_k1, t.cur_k2)

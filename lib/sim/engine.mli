@@ -22,10 +22,12 @@ type ('s, 'm) t
     {!create} (a delivery verdict is at most one RNG draw and a compare),
     flat timer-generation rows indexed by interned {!Slpdas_gcn.Timer} ids,
     and, on networks above 1024 nodes, one arrival event per broadcast
-    expanded at pop time.  None of this is observable: the test suite
-    checks every event, counter, state and trace against a spec-level
-    oracle engine (one event per delivered neighbour, string-keyed timers,
-    a global airtime log). *)
+    expanded at pop time.  Pending events wait in a struct-of-arrays heap
+    ({!Event_queue}) with their keys unboxed; a timer fire is stored as
+    ints only, so arming a timer allocates nothing.  None of this is
+    observable: the test suite checks every event, counter, state and fire
+    count against a spec-level oracle engine (one event per delivered
+    neighbour, string-keyed timers, a global airtime log). *)
 
 val propagation_delay : float
 (** Uniform link latency in seconds between a transmission and its arrivals.
@@ -108,8 +110,10 @@ val topology : ('s, 'm) t -> Slpdas_wsn.Topology.t
 val node_state : ('s, 'm) t -> int -> 's
 (** Observe a node's current protocol state. *)
 
-val node_fired : ('s, 'm) t -> int -> string list
-(** Action-name trace of a node, most recent first. *)
+val node_fire_counts : ('s, 'm) t -> int -> (string * int) list
+(** How many times each of a node's actions has fired
+    ({!Slpdas_gcn.Instance.fire_counts}).  A revived node starts from zero:
+    revival boots a fresh instance. *)
 
 val subscribe : ('s, 'm) t -> ('m Event.t -> unit) -> unit
 (** Register an observer on the event bus, invoked synchronously (in

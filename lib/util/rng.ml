@@ -5,7 +5,7 @@ type t = { mutable state : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -13,6 +13,17 @@ let mix64 z =
 let create seed = { state = mix64 (Int64.of_int seed) }
 
 let copy t = { state = t.state }
+
+(* [create seed] followed by one [bits64], with the state kept in registers:
+   inlined, the int64 arithmetic stays unboxed and nothing is allocated. *)
+let[@inline] bits64_of_seed seed =
+  mix64 (Int64.add (mix64 (Int64.of_int seed)) golden_gamma)
+
+let[@inline] float_of_bits bits bound =
+  (* 53 random bits mapped to [0,1). *)
+  Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992.0 *. bound
+
+let[@inline] float_of_seed seed bound = float_of_bits (bits64_of_seed seed) bound
 
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -34,10 +45,7 @@ let int t bound =
   in
   draw ()
 
-let float t bound =
-  (* 53 random bits mapped to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float r /. 9007199254740992.0 *. bound
+let float t bound = float_of_bits (bits64 t) bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

@@ -31,6 +31,19 @@ val split : t -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+(** {2 Stateless draws}
+
+    The first output of a generator created from [seed], computed without
+    building the generator: a pure hash of [seed] for hot paths that derive
+    one value per key (per-round jitter, rank keys).  Bit-identical to the
+    stateful path. *)
+
+val bits64_of_seed : int -> int64
+(** [bits64_of_seed seed] is [bits64 (create seed)]. *)
+
+val float_of_seed : int -> float -> float
+(** [float_of_seed seed bound] is [float (create seed) bound]. *)
+
 val int : t -> int -> int
 (** [int t bound] is a uniform integer in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)

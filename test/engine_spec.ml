@@ -74,7 +74,7 @@ let time t = t.now
 
 let node_state t v = Gcn.Instance.state t.instances.(v)
 
-let node_fired t v = Gcn.Instance.fired t.instances.(v)
+let node_fire_counts t v = Gcn.Instance.fire_counts t.instances.(v)
 
 let node_failed t v = t.failed.(v)
 

@@ -58,31 +58,17 @@ let wave_program ~self =
       else [] )
   in
   let go =
-    {
-      Gcn.name = "go";
-      handler =
-        (fun ~self:_ (wave, from) trigger ->
-          match trigger with
-          | Gcn.Timeout tm when Gcn.Timer.equal tm go_timer ->
-            Some
-              ( (wave + 1, from),
-                [
-                  Gcn.Broadcast (wave + 1);
-                  Gcn.Set_timer { timer = go_timer; after = 1.0 };
-                ] )
-          | _ -> None);
-    }
+    Gcn.on_timeout "go" go_timer (fun ~self:_ (wave, from) ->
+        Some
+          ( (wave + 1, from),
+            [
+              Gcn.Broadcast (wave + 1);
+              Gcn.Set_timer { timer = go_timer; after = 1.0 };
+            ] ))
   in
   let forward =
-    {
-      Gcn.name = "forward";
-      handler =
-        (fun ~self:_ (wave, _) trigger ->
-          match trigger with
-          | Gcn.Receive { msg; sender } when msg > wave ->
-            Some ((msg, sender), [ Gcn.Broadcast msg ])
-          | _ -> None);
-    }
+    Gcn.on_receive "forward" (fun ~self:_ (wave, _) ~sender msg ->
+        if msg > wave then Some ((msg, sender), [ Gcn.Broadcast msg ]) else None)
   in
   ignore self;
   { Gcn.init; actions = [ go; forward ]; spontaneous = [] }

@@ -2,7 +2,7 @@
    (Engine_spec, in this directory).  For the same topology, program, seeds
    and harness callbacks, the two must be observably indistinguishable: the
    full event stream, the event counters, per-node broadcast counts, final
-   node states, fired traces and every state a periodic harness probe reads
+   node states, per-action fire counts and every state a periodic harness probe reads
    — for every link model, with and without airtime, under faults and when
    a subscriber stops the run.  Programs run on networks on both sides of
    the engine's 1024-node batch cutover, so singleton and batched delivery
@@ -66,7 +66,7 @@ type ('s, 'm) handle = {
   schedule : at:float -> (unit -> unit) -> unit;
   time : unit -> float;
   node_state : int -> 's;
-  node_fired : int -> string list;
+  node_fire_counts : int -> (string * int) list;
   fail_node : int -> unit;
   revive_node : int -> unit;
   set_link_loss : a:int -> b:int -> float -> unit;
@@ -84,7 +84,7 @@ let engine_handle e =
     schedule = (fun ~at f -> Engine.schedule e ~at (fun _ -> f ()));
     time = (fun () -> Engine.time e);
     node_state = Engine.node_state e;
-    node_fired = Engine.node_fired e;
+    node_fire_counts = Engine.node_fire_counts e;
     fail_node = Engine.fail_node e;
     revive_node = Engine.revive_node e;
     set_link_loss = Engine.set_link_loss e;
@@ -102,7 +102,7 @@ let spec_handle s =
     schedule = (fun ~at f -> Spec.schedule s ~at (fun _ -> f ()));
     time = (fun () -> Spec.time s);
     node_state = Spec.node_state s;
-    node_fired = Spec.node_fired s;
+    node_fire_counts = Spec.node_fire_counts s;
     fail_node = Spec.fail_node s;
     revive_node = Spec.revive_node s;
     set_link_loss = Spec.set_link_loss s;
@@ -138,7 +138,7 @@ type ('s, 'm) obs = {
   counters : Event.counters;
   bbn : int array;
   states : 's array;
-  fired : string list array;
+  fired : (string * int) list array;
   probes : (float * 's array) list;
 }
 
@@ -179,7 +179,7 @@ let drive r (h : _ handle) =
     counters = h.counters ();
     bbn = h.broadcasts_by_node ();
     states = Array.init n h.node_state;
-    fired = Array.init n h.node_fired;
+    fired = Array.init n h.node_fire_counts;
     probes = List.rev !probes;
   }
 
@@ -221,8 +221,8 @@ let check_obs label (expected : _ obs) (actual : _ obs) =
       Alcotest.(check bool)
         (Printf.sprintf "%s: state of node %d" label v)
         true (same s actual.states.(v));
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: fired trace of node %d" label v)
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s: fire counts of node %d" label v)
         expected.fired.(v) actual.fired.(v))
     expected.states;
   Alcotest.(check int) (label ^ ": probes taken")
@@ -407,31 +407,17 @@ let wave_program_if ~flood ~self =
       else [] )
   in
   let go =
-    {
-      Gcn.name = "go";
-      handler =
-        (fun ~self:_ (wave, from) trigger ->
-          match trigger with
-          | Gcn.Timeout tm when Gcn.Timer.equal tm go_timer ->
-            Some
-              ( (wave + 1, from),
-                [
-                  Gcn.Broadcast (wave + 1);
-                  Gcn.Set_timer { timer = go_timer; after = 1.0 };
-                ] )
-          | _ -> None);
-    }
+    Gcn.on_timeout "go" go_timer (fun ~self:_ (wave, from) ->
+        Some
+          ( (wave + 1, from),
+            [
+              Gcn.Broadcast (wave + 1);
+              Gcn.Set_timer { timer = go_timer; after = 1.0 };
+            ] ))
   in
   let forward =
-    {
-      Gcn.name = "forward";
-      handler =
-        (fun ~self:_ (wave, _) trigger ->
-          match trigger with
-          | Gcn.Receive { msg; sender } when msg > wave ->
-            Some ((msg, sender), [ Gcn.Broadcast msg ])
-          | _ -> None);
-    }
+    Gcn.on_receive "forward" (fun ~self:_ (wave, _) ~sender msg ->
+        if msg > wave then Some ((msg, sender), [ Gcn.Broadcast msg ]) else None)
   in
   ignore self;
   { Gcn.init; actions = [ go; forward ]; spontaneous = [] }
@@ -660,11 +646,11 @@ let test_shard_domain_invariance () =
 (* ------------------------------------------------------------------ *)
 
 (* Global observables of a run: merged counters plus per-node state,
-   fired-trace and broadcast count indexed by *global* node id. *)
+   fire counts and broadcast count indexed by *global* node id. *)
 type global_obs = {
   o_counters : Event.counters;
   o_states : (int * int) array;
-  o_fired : string list array;
+  o_fired : (string * int) list array;
   o_bbn : int array;
 }
 
@@ -678,7 +664,7 @@ let seq_obs ?(arm = fun _ -> ()) ~topology ~link ~until () =
   {
     o_counters = Engine.counters e;
     o_states = Array.init n (Engine.node_state e);
-    o_fired = Array.init n (Engine.node_fired e);
+    o_fired = Array.init n (Engine.node_fire_counts e);
     o_bbn = Engine.broadcasts_by_node e;
   }
 
@@ -697,7 +683,7 @@ let coupled_obs ?(domains = 1) ?(arm = fun ~plan:_ ~cell:_ _ -> ())
         Array.iteri
           (fun i v ->
             states.(v) <- Engine.node_state e i;
-            fired.(v) <- Engine.node_fired e i;
+            fired.(v) <- Engine.node_fire_counts e i;
             bbn.(v) <- local_bbn.(i))
           cell.Shard.nodes)
       plan ~link ~seed:42 ~program:wave_program ~until
@@ -720,8 +706,8 @@ let check_global ?(skip_link_changes = false) label expected actual =
       Alcotest.(check (pair int int))
         (Printf.sprintf "%s: state of node %d" label v)
         s actual.o_states.(v);
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: fired trace of node %d" label v)
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s: fire counts of node %d" label v)
         expected.o_fired.(v) actual.o_fired.(v))
     expected.o_states
 

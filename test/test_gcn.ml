@@ -21,28 +21,14 @@ let counter_program =
       [ Gcn.Set_timer { timer = t_timer; after = 1.0 } ] )
   in
   let tick =
-    {
-      Gcn.name = "tick";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t t_timer ->
-            Some
-              ( { s with count = s.count + 1 },
-                [ Gcn.Set_timer { timer = t_timer; after = 1.0 } ] )
-          | _ -> None);
-    }
+    Gcn.on_timeout "tick" t_timer (fun ~self:_ s ->
+        Some
+          ( { s with count = s.count + 1 },
+            [ Gcn.Set_timer { timer = t_timer; after = 1.0 } ] ))
   in
   let recv =
-    {
-      Gcn.name = "recv";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Receive { sender = _; msg } ->
-            Some ({ s with count = s.count + msg }, [ Gcn.Broadcast (s.count + msg) ])
-          | _ -> None);
-    }
+    Gcn.on_receive "recv" (fun ~self:_ s ~sender:_ msg ->
+        Some ({ s with count = s.count + msg }, [ Gcn.Broadcast (s.count + msg) ]))
   in
   let sat =
     {
@@ -94,26 +80,25 @@ let test_spontaneous_fires_once () =
   let effects2 = Gcn.Instance.deliver inst (Gcn.Timeout t_timer) in
   Alcotest.(check int) "only rearm" 1 (List.length effects2)
 
-let test_fired_trace () =
+let fire_counts = Alcotest.(list (pair string int))
+
+let test_fire_counts () =
   let inst, _ = Gcn.Instance.create counter_program ~self:0 in
+  Alcotest.(check fire_counts) "nothing fired at boot"
+    [ ("tick", 0); ("recv", 0); ("sat", 0) ]
+    (Gcn.Instance.fire_counts inst);
+  ignore (Gcn.Instance.deliver inst (Gcn.Timeout t_timer));
   ignore (Gcn.Instance.deliver inst (Gcn.Timeout t_timer));
   ignore (Gcn.Instance.deliver inst (Gcn.Receive { sender = 1; msg = 12 }));
-  Alcotest.(check (list string)) "event trace (most recent first)"
-    [ "sat"; "recv"; "tick"; "init" ]
-    (Gcn.Instance.fired inst)
+  (* An ignored trigger counts nothing. *)
+  ignore (Gcn.Instance.deliver inst (Gcn.Timeout x_timer));
+  Alcotest.(check fire_counts) "guarded actions, then spontaneous"
+    [ ("tick", 2); ("recv", 1); ("sat", 1) ]
+    (Gcn.Instance.fire_counts inst)
 
 let test_first_enabled_action_wins () =
   (* Two actions both match the same timeout; declaration order decides. *)
-  let mk name v =
-    {
-      Gcn.name;
-      handler =
-        (fun ~self:_ _s trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t x_timer -> Some (v, [])
-          | _ -> None);
-    }
-  in
+  let mk name v = Gcn.on_timeout name x_timer (fun ~self:_ _s -> Some (v, [])) in
   let program =
     { Gcn.init = (fun ~self:_ -> (0, [])); actions = [ mk "a" 1; mk "b" 2 ]; spontaneous = [] }
   in
@@ -124,24 +109,11 @@ let test_first_enabled_action_wins () =
 let test_guard_false_falls_through () =
   (* The first action's guard rejects even numbers; the second accepts. *)
   let odd_only =
-    {
-      Gcn.name = "odd";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Receive { msg; _ } when msg mod 2 = 1 -> Some (s + msg, [])
-          | _ -> None);
-    }
+    Gcn.on_receive "odd" (fun ~self:_ s ~sender:_ msg ->
+        if msg mod 2 = 1 then Some (s + msg, []) else None)
   in
   let any =
-    {
-      Gcn.name = "any";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Receive { msg; _ } -> Some (s + (100 * msg), [])
-          | _ -> None);
-    }
+    Gcn.on_receive "any" (fun ~self:_ s ~sender:_ msg -> Some (s + (100 * msg), []))
   in
   let program =
     { Gcn.init = (fun ~self:_ -> (0, [])); actions = [ odd_only; any ]; spontaneous = [] }
@@ -158,12 +130,8 @@ let test_round_end_trigger () =
       Gcn.init = (fun ~self:_ -> (0, []));
       actions =
         [
-          {
-            Gcn.name = "process";
-            handler =
-              (fun ~self:_ s trigger ->
-                match trigger with Gcn.Round_end -> Some (s + 1, []) | _ -> None);
-          };
+          Gcn.on_any "process" (fun ~self:_ s trigger ->
+              match trigger with Gcn.Round_end -> Some (s + 1, []) | _ -> None);
         ];
       spontaneous = [];
     }
@@ -204,25 +172,17 @@ let test_spontaneous_chain () =
       scommand = (fun ~self:_ (x, _) -> ((x, true), [ Gcn.Broadcast "b" ]));
     }
   in
-  let bump =
-    {
-      Gcn.name = "bump";
-      handler =
-        (fun ~self:_ (_, y) trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t go_timer -> Some ((1, y), [])
-          | _ -> None);
-    }
-  in
+  let bump = Gcn.on_timeout "bump" go_timer (fun ~self:_ (_, y) -> Some ((1, y), [])) in
   let program =
     { Gcn.init = (fun ~self:_ -> ((0, false), [])); actions = [ bump ]; spontaneous = [ a; b ] }
   in
   let inst, _ = Gcn.Instance.create program ~self:0 in
   let effects = Gcn.Instance.deliver inst (Gcn.Timeout go_timer) in
-  Alcotest.(check int) "both spontaneous effects" 2 (List.length effects);
-  Alcotest.(check (list string)) "order a then b"
-    [ "b"; "a"; "bump"; "init" ]
-    (Gcn.Instance.fired inst)
+  Alcotest.(check (list string)) "effects of a, then of b" [ "a"; "b" ]
+    (List.map (function Gcn.Broadcast m -> m | _ -> "?") effects);
+  Alcotest.(check fire_counts) "each fired once"
+    [ ("bump", 1); ("a", 1); ("b", 1) ]
+    (Gcn.Instance.fire_counts inst)
 
 let test_self_passed_to_handlers () =
   let program =
@@ -235,6 +195,192 @@ let test_self_passed_to_handlers () =
   let inst, _ = Gcn.Instance.create program ~self:17 in
   Alcotest.(check int) "self" 17 (Gcn.Instance.self inst);
   Alcotest.(check int) "state init saw self" 17 (Gcn.Instance.state inst)
+
+(* ------------------------------------------------------------------ *)
+(* Keyed dispatch against a linear-scan reference                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Random programs over an int accumulator plus a latch word that lets each
+   spontaneous action fire at most once between guarded fires (so every
+   random program settles).  Guarded action [i] is keyed on [on] and
+   enabled when [(acc + code trigger) mod m = r]; its handler ignores its
+   own key, so only the dispatcher keeps it from foreign triggers. *)
+type qstate = { acc : int; latch : int }
+
+let q_timers = Array.map Gcn.Timer.intern [| "q-a"; "q-b"; "q-c"; "q-unnamed" |]
+
+type action_spec = { key : int; m : int; r : int }
+(* key: 0..2 a named timer, 3 any timeout, 4 receive, 5 anything *)
+
+type spont_spec = { sm : int; sr : int }
+
+type program_spec = { specs : action_spec list; sponts : spont_spec list }
+
+let key_of spec =
+  match spec.key with
+  | (0 | 1 | 2) as i -> Gcn.On_timer q_timers.(i)
+  | 3 -> Gcn.On_any_timeout
+  | 4 -> Gcn.On_receive
+  | _ -> Gcn.On_any
+
+let code = function
+  | Gcn.Timeout t -> Gcn.Timer.id t
+  | Gcn.Receive { msg; _ } -> msg
+  | Gcn.Round_end -> 7
+
+let random_program { specs; sponts } =
+  let actions =
+    List.mapi
+      (fun i spec ->
+        {
+          Gcn.name = Printf.sprintf "a%d" i;
+          on = key_of spec;
+          handler =
+            (fun ~self:_ s trigger ->
+              if (s.acc + code trigger) mod spec.m = spec.r then
+                Some
+                  ( { acc = ((s.acc * 7) + i + 1) mod 1009; latch = 0 },
+                    [ Gcn.Broadcast i ] )
+              else None);
+        })
+      specs
+  in
+  let spontaneous =
+    List.mapi
+      (fun j { sm; sr } ->
+        let bit = 1 lsl j in
+        {
+          Gcn.sname = Printf.sprintf "s%d" j;
+          sguard = (fun s -> s.acc mod sm = sr && s.latch land bit = 0);
+          scommand =
+            (fun ~self:_ s ->
+              ( { acc = (s.acc + 3) mod 1009; latch = s.latch lor bit },
+                [ Gcn.Broadcast (100 + j) ] ));
+        })
+      sponts
+  in
+  {
+    Gcn.init = (fun ~self:_ -> ({ acc = 0; latch = 0 }, [ Gcn.Broadcast (-1) ]));
+    actions;
+    spontaneous;
+  }
+
+(* The runtime's contract, written as plainly as possible: offer the
+   trigger to every action in declaration order, skipping those not keyed
+   for it; the first enabled one fires; then settle. *)
+module Reference = struct
+  let offered (on : Gcn.key) trigger =
+    match (on, trigger) with
+    | Gcn.On_timer t, Gcn.Timeout u -> Gcn.Timer.equal t u
+    | Gcn.On_any_timeout, Gcn.Timeout _ | Gcn.On_receive, Gcn.Receive _ | Gcn.On_any, _ ->
+      true
+    | (Gcn.On_timer _ | Gcn.On_any_timeout | Gcn.On_receive), _ -> false
+
+  type t = {
+    program : (qstate, int) Gcn.program;
+    mutable state : qstate;
+    counts : (string, int) Hashtbl.t;
+  }
+
+  let bump t name =
+    Hashtbl.replace t.counts name
+      (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts name))
+
+  let settle t =
+    let rec loop acc =
+      match List.find_opt (fun sp -> sp.Gcn.sguard t.state) t.program.Gcn.spontaneous with
+      | None -> acc
+      | Some sp ->
+        let state, effects = sp.Gcn.scommand ~self:0 t.state in
+        t.state <- state;
+        bump t sp.Gcn.sname;
+        loop (acc @ effects)
+    in
+    loop []
+
+  let create program =
+    let state, boot = program.Gcn.init ~self:0 in
+    let t = { program; state; counts = Hashtbl.create 8 } in
+    let settled = settle t in
+    (t, boot @ settled)
+
+  let deliver t trigger =
+    let rec scan = function
+      | [] -> []
+      | a :: rest when not (offered a.Gcn.on trigger) -> scan rest
+      | a :: rest -> (
+        match a.Gcn.handler ~self:0 t.state trigger with
+        | None -> scan rest
+        | Some (state, effects) ->
+          t.state <- state;
+          bump t a.Gcn.name;
+          effects)
+    in
+    let fired = scan t.program.Gcn.actions in
+    fired @ settle t
+
+  let fire_counts t =
+    List.map
+      (fun name -> (name, Option.value ~default:0 (Hashtbl.find_opt t.counts name)))
+      (List.map (fun a -> a.Gcn.name) t.program.Gcn.actions
+      @ List.map (fun sp -> sp.Gcn.sname) t.program.Gcn.spontaneous)
+end
+
+let gen_program_spec =
+  QCheck.Gen.(
+    let action =
+      map3
+        (fun key m r -> { key; m; r = r mod m })
+        (int_bound 5) (int_range 1 3) (int_bound 2)
+    in
+    let spont = map2 (fun sm sr -> { sm; sr = sr mod sm }) (int_range 1 4) (int_bound 3) in
+    map2
+      (fun specs sponts -> { specs; sponts })
+      (list_size (int_range 0 8) action)
+      (list_size (int_range 0 3) spont))
+
+let gen_trigger =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Gcn.Timeout q_timers.(i)) (int_bound 3));
+        (3, map (fun msg -> Gcn.Receive { sender = 1; msg }) (int_bound 5));
+        (1, return Gcn.Round_end);
+      ])
+
+let print_case (spec, triggers) =
+  let key = function 0 | 1 | 2 -> "timer" | 3 -> "any-timeout" | 4 -> "receive" | _ -> "any" in
+  Printf.sprintf "actions=[%s] spontaneous=[%s] triggers=[%s]"
+    (String.concat "; "
+       (List.map (fun a -> Printf.sprintf "%s%d m=%d r=%d" (key a.key) a.key a.m a.r) spec.specs))
+    (String.concat "; " (List.map (fun s -> Printf.sprintf "m=%d r=%d" s.sm s.sr) spec.sponts))
+    (String.concat "; "
+       (List.map
+          (function
+            | Gcn.Timeout t -> Gcn.Timer.name t
+            | Gcn.Receive { msg; _ } -> Printf.sprintf "rcv %d" msg
+            | Gcn.Round_end -> "round-end")
+          triggers))
+
+let broadcasts effects = List.map (function Gcn.Broadcast m -> m | _ -> min_int) effects
+
+let prop_keyed_matches_linear_scan =
+  QCheck.Test.make ~count:500 ~name:"keyed dispatch = linear scan"
+    (QCheck.make ~print:print_case
+       QCheck.Gen.(pair gen_program_spec (list_size (int_bound 40) gen_trigger)))
+    (fun (spec, triggers) ->
+      let program = random_program spec in
+      let inst, boot = Gcn.Instance.create program ~self:0 in
+      let reference, ref_boot = Reference.create program in
+      broadcasts boot = broadcasts ref_boot
+      && List.for_all
+           (fun trigger ->
+             let effects = Gcn.Instance.deliver inst trigger in
+             let expected = Reference.deliver reference trigger in
+             broadcasts effects = broadcasts expected
+             && Gcn.Instance.state inst = reference.Reference.state)
+           triggers
+      && Gcn.Instance.fire_counts inst = Reference.fire_counts reference)
 
 (* ------------------------------------------------------------------ *)
 (* Timer interning                                                    *)
@@ -291,7 +437,7 @@ let () =
           Alcotest.test_case "receive dispatch" `Quick test_receive_dispatch;
           Alcotest.test_case "spontaneous fires once" `Quick
             test_spontaneous_fires_once;
-          Alcotest.test_case "fired trace" `Quick test_fired_trace;
+          Alcotest.test_case "fire counts" `Quick test_fire_counts;
           Alcotest.test_case "first enabled wins" `Quick
             test_first_enabled_action_wins;
           Alcotest.test_case "guard falls through" `Quick
@@ -302,6 +448,7 @@ let () =
           Alcotest.test_case "spontaneous chain" `Quick test_spontaneous_chain;
           Alcotest.test_case "self propagated" `Quick test_self_passed_to_handlers;
         ] );
+      ("keyed dispatch", [ QCheck_alcotest.to_alcotest prop_keyed_matches_linear_scan ]);
       ( "timer interning",
         [
           Alcotest.test_case "idempotent" `Quick test_intern_idempotent;

@@ -112,8 +112,12 @@ let test_poly_eq () =
   check_fires "list literal" "poly-eq" (lint "let f xs = xs = [ 1 ]");
   check_clean "int equality is immediate" (lint "let f x = x = 3");
   check_clean "bool literals are immediate" (lint "let f x = x = true");
-  check_clean "outside the hot path the protocol may compare options"
-    (lint ~path:"lib/core/protocol.ml" "let f x = x = Some 3")
+  check_fires "the SLP-DAS protocol is on the hot path" "poly-eq"
+    (lint ~path:"lib/core/protocol.ml" "let f x = x = Some 3");
+  check_fires "the GCN runtime is on the hot path" "poly-eq"
+    (lint ~path:"lib/gcn/slpdas_gcn.ml" "let f xs = xs <> []");
+  check_clean "outside the hot path a baseline protocol may compare options"
+    (lint ~path:"lib/core/phantom.ml" "let f x = x = Some 3")
 
 let test_hot_path_hashtbl () =
   check_fires "engine create" "hot-path-hashtbl"

@@ -701,6 +701,53 @@ let test_reliable_mode_no_loss_identical () =
     (List.length (delivered ~reliable_data:true))
 
 (* ------------------------------------------------------------------ *)
+(* Bounded memory on long runs                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Words reachable from the engine — every node's state and instance, the
+   pending-event queue, the tally — after a full major collection. *)
+let live_words engine =
+  Gc.full_major ();
+  Obj.reachable_words (Obj.repr engine)
+
+(* Two hours of simulated normal operation on a 5x5 SLP grid with one data
+   source: each period is ~140 events, so anything kept per event (an
+   action trace, a queued event never released) grows by hundreds of words
+   a period.  The only state allowed to grow is the sink's [delivered]
+   record: one (source, generation, arrival) entry per period, 7 words. *)
+let test_memory_bounded_over_long_run () =
+  let topo = Topology.grid 5 in
+  let delta_ss = Topology.source_sink_distance topo in
+  let config =
+    Slpdas_exp.Params.protocol_config Slpdas_exp.Params.default ~mode:Protocol.Slp
+      ~data_sources:[ topo.Topology.source ] ~sink:topo.Topology.sink ~delta_ss
+      ~seed:3
+  in
+  let engine =
+    Engine.create ~topology:topo ~link:Link_model.Ideal ~rng:(Rng.create 3)
+      ~program:(Protocol.program config) ()
+  in
+  let period = Protocol.period_length config in
+  let checkpoint = Protocol.normal_start config +. (20.0 *. period) in
+  let periods = 1440 in
+  Engine.run_until engine checkpoint;
+  let before = live_words engine in
+  let delivered_before =
+    List.length (Engine.node_state engine topo.Topology.sink).Protocol.delivered
+  in
+  Engine.run_until engine (checkpoint +. (float_of_int periods *. period));
+  let after = live_words engine in
+  let delivered_after =
+    List.length (Engine.node_state engine topo.Topology.sink).Protocol.delivered
+  in
+  Alcotest.(check int) "one reading delivered per period" periods
+    (delivered_after - delivered_before);
+  let per_period = float_of_int (after - before) /. float_of_int periods in
+  if per_period > 8.0 then
+    Alcotest.failf "live words grew by %.1f per period (%d -> %d over %d periods)"
+      per_period before after periods
+
+(* ------------------------------------------------------------------ *)
 (* Message descriptions                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -752,6 +799,8 @@ let () =
         ] );
       ( "normal-phase",
         [
+          Alcotest.test_case "memory bounded over hours" `Quick
+            test_memory_bounded_over_long_run;
           Alcotest.test_case "slot-aligned transmissions" `Quick
             test_normal_phase_transmissions_follow_slots;
           Alcotest.test_case "sink silent" `Quick test_sink_never_transmits_data;

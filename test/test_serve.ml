@@ -282,6 +282,38 @@ let test_cache_disk_corruption () =
       Alcotest.(check bool) "corrupted file is a miss, not a crash" true
         (Option.is_none (Cache.find c2 (query_for_test 6))))
 
+(* Two domains store the same key into one directory while the main domain
+   reads it back through fresh caches (so every read goes to disk).  Every
+   read is a complete answer or a miss, nothing raises, and once an answer
+   has been seen it never disappears: a writer never exposes a file another
+   writer is still filling.  Afterwards only the entry itself is left. *)
+let test_cache_disk_concurrent_writers () =
+  with_temp_dir (fun dir ->
+      let query = query_for_test 7 and answer = answer_for_test 7 in
+      let rounds = 1000 in
+      let writer () =
+        let c = Cache.create ~dir () in
+        for _ = 1 to rounds do
+          Cache.store c query answer
+        done
+      in
+      let read () = Cache.find (Cache.create ~capacity:1 ~dir ()) query in
+      let writers = List.init 2 (fun _ -> Domain.spawn writer) in
+      let seen = ref false and lost = ref false and corrupt = ref false in
+      for _ = 1 to 4 * rounds do
+        match read () with
+        | Some a ->
+          if not (Query.answer_equal answer a) then corrupt := true;
+          seen := true
+        | None -> if !seen then lost := true
+      done;
+      List.iter Domain.join writers;
+      Alcotest.(check bool) "no read returned a wrong answer" false !corrupt;
+      Alcotest.(check bool) "no miss after a hit" false !lost;
+      Alcotest.(check bool) "final read hits" true
+        (match read () with Some a -> Query.answer_equal answer a | None -> false);
+      Alcotest.(check int) "only the entry is left" 1 (Array.length (Sys.readdir dir)))
+
 (* ------------------------------------------------------------------ *)
 (* Service                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -773,6 +805,8 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_cache_lru;
           Alcotest.test_case "disk round trip" `Quick test_cache_disk_round_trip;
           Alcotest.test_case "disk corruption" `Quick test_cache_disk_corruption;
+          Alcotest.test_case "concurrent disk writers" `Quick
+            test_cache_disk_concurrent_writers;
         ] );
       ( "service",
         [

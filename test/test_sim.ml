@@ -19,26 +19,14 @@ let flood_program ~self =
       else [] )
   in
   let go =
-    {
-      Gcn.name = "go";
-      handler =
-        (fun ~self:_ _s trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t go_timer ->
-            Some (true, [ Gcn.Broadcast "flood" ])
-          | _ -> None);
-    }
+    Gcn.on_timeout "go" go_timer (fun ~self:_ _s ->
+        Some (true, [ Gcn.Broadcast "flood" ]))
   in
   let forward =
-    {
-      Gcn.name = "forward";
-      handler =
-        (fun ~self:_ forwarded trigger ->
-          match trigger with
-          | Gcn.Receive { msg = "flood"; _ } when not forwarded ->
-            Some (true, [ Gcn.Broadcast "flood" ])
-          | _ -> None);
-    }
+    Gcn.on_receive "forward" (fun ~self:_ forwarded ~sender:_ msg ->
+        if String.equal msg "flood" && not forwarded then
+          Some (true, [ Gcn.Broadcast "flood" ])
+        else None)
   in
   ignore self;
   { Gcn.init; actions = [ go; forward ]; spontaneous = [] }
@@ -144,31 +132,20 @@ let test_step_granularity () =
   Alcotest.(check bool) "finite event count" true (steps > 0);
   Alcotest.(check bool) "queue exhausted" false (Engine.step e)
 
-let test_node_fired_trace () =
+let test_node_fire_counts () =
   let e = make_engine ~dim:3 () in
   Engine.run_until e 10.0;
-  (match Engine.node_fired e 0 with
-  | "go" :: _ -> ()
-  | trace ->
-    Alcotest.failf "unexpected trace for node 0: %s" (String.concat "," trace));
-  match List.rev (Engine.node_fired e 4) with
-  | "init" :: "forward" :: _ -> ()
-  | trace ->
-    Alcotest.failf "unexpected trace for node 4: %s" (String.concat "," trace)
+  Alcotest.(check (list (pair string int))) "node 0: go once, never forwards its own flood"
+    [ ("go", 1); ("forward", 0) ]
+    (Engine.node_fire_counts e 0);
+  Alcotest.(check (list (pair string int))) "node 4: forwards once"
+    [ ("go", 0); ("forward", 1) ]
+    (Engine.node_fire_counts e 4)
 
 (* Timer semantics: a rearmed timer supersedes the old deadline. *)
 let count_x_program ~effects ~self:_ =
   let init ~self:_ = (0, effects) in
-  let x =
-    {
-      Gcn.name = "x";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t x_timer -> Some (s + 1, [])
-          | _ -> None);
-    }
-  in
+  let x = Gcn.on_timeout "x" x_timer (fun ~self:_ s -> Some (s + 1, [])) in
   { Gcn.init; actions = [ x ]; spontaneous = [] }
 
 let test_timer_reset_supersedes () =
@@ -210,17 +187,12 @@ let test_late_interned_timer () =
   let program ~self =
     let p = count_x_program ~effects ~self in
     let late =
-      {
-        Gcn.name = "late";
-        handler =
-          (fun ~self:_ s trigger ->
-            match (trigger, !fresh) with
-            | Gcn.Timeout t, Some tm when Gcn.Timer.equal t tm ->
-              Some (s + 100, [])
-            | Gcn.Timeout t, Some tm when Gcn.Timer.equal t x_timer ->
-              Some (s, [ Gcn.Set_timer { timer = tm; after = 1.0 } ])
-            | _ -> None);
-      }
+      Gcn.on_any_timeout "late" (fun ~self:_ s t ->
+          match !fresh with
+          | Some tm when Gcn.Timer.equal t tm -> Some (s + 100, [])
+          | Some tm when Gcn.Timer.equal t x_timer ->
+            Some (s, [ Gcn.Set_timer { timer = tm; after = 1.0 } ])
+          | _ -> None)
     in
     { p with Gcn.actions = [ late ] }
   in
@@ -251,24 +223,9 @@ let two_senders_program ~at0 ~at2 ~self =
       else [] )
   in
   let go =
-    {
-      Gcn.name = "go";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with
-          | Gcn.Timeout t when Gcn.Timer.equal t go_timer ->
-            Some (s, [ Gcn.Broadcast "hi" ])
-          | _ -> None);
-    }
+    Gcn.on_timeout "go" go_timer (fun ~self:_ s -> Some (s, [ Gcn.Broadcast "hi" ]))
   in
-  let hear =
-    {
-      Gcn.name = "hear";
-      handler =
-        (fun ~self:_ s trigger ->
-          match trigger with Gcn.Receive _ -> Some (s + 1, []) | _ -> None);
-    }
-  in
+  let hear = Gcn.on_receive "hear" (fun ~self:_ s ~sender:_ _ -> Some (s + 1, [])) in
   ignore self;
   { Gcn.init; actions = [ go; hear ]; spontaneous = [] }
 
@@ -303,24 +260,9 @@ let test_interference_half_duplex () =
   let program ~self:_ =
     let init ~self:_ = (0, [ Gcn.Set_timer { timer = go_timer; after = 1.0 } ]) in
     let go =
-      {
-        Gcn.name = "go";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with
-            | Gcn.Timeout t when Gcn.Timer.equal t go_timer ->
-              Some (s, [ Gcn.Broadcast "hi" ])
-            | _ -> None);
-      }
+      Gcn.on_timeout "go" go_timer (fun ~self:_ s -> Some (s, [ Gcn.Broadcast "hi" ]))
     in
-    let hear =
-      {
-        Gcn.name = "hear";
-        handler =
-          (fun ~self:_ s trigger ->
-            match trigger with Gcn.Receive _ -> Some (s + 1, []) | _ -> None);
-      }
-    in
+    let hear = Gcn.on_receive "hear" (fun ~self:_ s ~sender:_ _ -> Some (s + 1, [])) in
     { Gcn.init; actions = [ go; hear ]; spontaneous = [] }
   in
   let e =
@@ -614,7 +556,7 @@ let () =
             test_schedule_past_rejected;
           Alcotest.test_case "inject" `Quick test_inject_trigger;
           Alcotest.test_case "step" `Quick test_step_granularity;
-          Alcotest.test_case "fired traces" `Quick test_node_fired_trace;
+          Alcotest.test_case "fire counts" `Quick test_node_fire_counts;
           Alcotest.test_case "timer reset" `Quick test_timer_reset_supersedes;
           Alcotest.test_case "timer cancel" `Quick test_stop_timer_cancels;
           Alcotest.test_case "late-interned timer" `Quick

@@ -1,7 +1,7 @@
 (* Tests for Slpdas_util: RNG, heap, statistics, bitsets, tables. *)
 
 module Rng = Slpdas_util.Rng
-module Heap = Slpdas_util.Heap
+module Event_queue = Slpdas_sim.Event_queue
 module Stats = Slpdas_util.Stats
 module Bitset = Slpdas_util.Bitset
 module Tabular = Slpdas_util.Tabular
@@ -114,81 +114,149 @@ let test_rng_shuffle_list_preserves_elements () =
   Alcotest.(check (list int)) "same multiset" (List.sort compare xs)
     (List.sort compare ys)
 
+(* The stateless draws are the first output of a fresh generator, bit for
+   bit, over the whole int range and any bound. *)
+let prop_rng_of_seed =
+  QCheck.Test.make ~count:2000 ~name:"stateless draws match a fresh generator"
+    QCheck.(pair int (oneof [ float; float_range 0.0 1.0; float_range 0.0 1e6 ]))
+    (fun (seed, bound) ->
+      Int64.equal (Rng.bits64_of_seed seed) (Rng.bits64 (Rng.create seed))
+      && Int64.equal
+           (Int64.bits_of_float (Rng.float_of_seed seed bound))
+           (Int64.bits_of_float (Rng.float (Rng.create seed) bound)))
+
 (* ------------------------------------------------------------------ *)
-(* Heap                                                               *)
+(* Heap: the engine's struct-of-arrays event queue                    *)
 (* ------------------------------------------------------------------ *)
+
+(* An entry as the tests see it: keys (at, seq, k1, k2), the three int
+   payload words and the boxed payload. *)
+type entry = {
+  at : float;
+  seq : int;
+  k1 : int;
+  k2 : int;
+  node : int;
+  x : int;
+  y : int;
+  tag : string;
+}
+
+let push_entry q e =
+  Event_queue.push q ~at:e.at ~seq:e.seq ~k1:e.k1 ~k2:e.k2 ~node:e.node ~x:e.x
+    ~y:e.y e.tag
+
+(* The tag is the entry's [seq]. *)
+let pop_entry q =
+  let tag = Event_queue.min_payload q in
+  let e =
+    {
+      at = Event_queue.min_at q;
+      seq = int_of_string tag;
+      k1 = Event_queue.min_k1 q;
+      k2 = Event_queue.min_k2 q;
+      node = Event_queue.min_node q;
+      x = Event_queue.min_x q;
+      y = Event_queue.min_y q;
+      tag;
+    }
+  in
+  Event_queue.pop q;
+  e
+
+(* The specified order: (at, seq), or (at, k1, k2, seq) when stable. *)
+let entry_compare ~stable a b =
+  match Float.compare a.at b.at with
+  | 0 when stable ->
+    Slpdas_util.Order.pair Int.compare
+      (Slpdas_util.Order.pair Int.compare Int.compare)
+      (a.k1, (a.k2, a.seq))
+      (b.k1, (b.k2, b.seq))
+  | 0 -> Int.compare a.seq b.seq
+  | c -> c
+
+let entry_at ?(k1 = 0) ?(k2 = 0) ~seq at =
+  { at; seq; k1; k2; node = seq * 3; x = seq + 1; y = -seq; tag = string_of_int seq }
 
 let test_heap_basic () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Heap.push h 2;
-  Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Heap.pop h);
-  Alcotest.(check (option int)) "exhausted" None (Heap.pop h)
+  let q = Event_queue.create ~stable:false "" in
+  Alcotest.(check bool) "fresh queue empty" true (Event_queue.is_empty q);
+  List.iteri (fun seq at -> push_entry q (entry_at ~seq at)) [ 3.0; 1.0; 2.0 ];
+  Alcotest.(check (float 0.0)) "min time" 1.0 (Event_queue.min_at q);
+  let drained = List.init 3 (fun _ -> pop_entry q) in
+  Alcotest.(check (list string)) "pop order" [ "1"; "2"; "0" ]
+    (List.map (fun e -> e.tag) drained);
+  Alcotest.(check bool) "payload words travel with their entry" true
+    (List.for_all (fun e -> e = entry_at ~seq:e.seq e.at) drained);
+  Alcotest.(check bool) "exhausted" true (Event_queue.is_empty q)
 
-let test_heap_pop_exn_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn on empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
+let test_heap_pop_empty () =
+  let q = Event_queue.create ~stable:true 0 in
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Event_queue.pop: empty queue") (fun () -> Event_queue.pop q);
+  Alcotest.check_raises "min_at on empty"
+    (Invalid_argument "Event_queue.min_at: empty queue") (fun () ->
+      ignore (Event_queue.min_at q))
 
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 1;
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+(* Times drawn from a handful of values (signed zeros included) so most
+   entries tie on time and the tiebreak decides; keys from a small range so
+   stable keys tie too and fall through to [seq]. *)
+let gen_entries =
+  QCheck.Gen.(
+    list_size (int_bound 200)
+      (triple (oneofl [ 0.0; -0.0; 0.5; 1.0; 1.5; 1e9 ]) (int_bound 3) (int_range (-1) 2)))
 
-let test_heap_to_sorted_list_nondestructive () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 4; 2; 9; 1 ];
-  Alcotest.(check (list int)) "sorted view" [ 1; 2; 4; 9 ] (Heap.to_sorted_list h);
-  Alcotest.(check int) "heap intact" 4 (Heap.length h)
+let entries_of raw =
+  List.mapi (fun seq (at, k1, k2) -> entry_at ~k1 ~k2 ~seq at) raw
+
+let print_raw =
+  QCheck.Print.(list (triple float int int))
 
 let prop_heap_sorts =
-  QCheck.Test.make ~count:200 ~name:"heap drains in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let remove_first x = function
-  | [] -> []
-  | xs ->
-    let rec go acc = function
-      | [] -> List.rev acc
-      | y :: rest -> if y = x then List.rev_append acc rest else go (y :: acc) rest
-    in
-    go [] xs
+  QCheck.Test.make ~count:300 ~name:"heap drains in sorted order"
+    (QCheck.make ~print:print_raw gen_entries)
+    (fun raw ->
+      let entries = entries_of raw in
+      List.for_all
+        (fun stable ->
+          let q = Event_queue.create ~stable "" in
+          List.iter (push_entry q) entries;
+          let drained = List.init (List.length entries) (fun _ -> pop_entry q) in
+          Event_queue.is_empty q
+          && drained = List.stable_sort (entry_compare ~stable) entries)
+        [ false; true ])
 
 let prop_heap_interleaved =
-  QCheck.Test.make ~count:200 ~name:"heap min correct under interleaved ops"
-    QCheck.(list (pair bool small_int))
+  QCheck.Test.make ~count:300 ~name:"heap min correct under interleaved ops"
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair bool (triple float int int)))
+       QCheck.Gen.(
+         list_size (int_bound 200)
+           (pair bool
+              (triple (oneofl [ 0.0; 0.5; 1.0 ]) (int_bound 3) (int_range (-1) 2)))))
     (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
       List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := v :: !model;
-            true
-          end
-          else begin
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, (_ :: _ as m) ->
-              let min_m = List.fold_left min (List.hd m) m in
-              model := remove_first min_m m;
-              x = min_m
-            | Some _, [] | None, _ :: _ -> false
-          end)
-        ops)
+        (fun stable ->
+          let q = Event_queue.create ~stable "" in
+          let model = ref [] in
+          List.for_all
+            (fun (seq, (is_push, (at, k1, k2))) ->
+              if is_push then begin
+                let e = entry_at ~k1 ~k2 ~seq at in
+                push_entry q e;
+                model := List.merge (entry_compare ~stable) [ e ] !model;
+                true
+              end
+              else
+                match !model with
+                | [] -> Event_queue.is_empty q
+                | least :: rest ->
+                  model := rest;
+                  pop_entry q = least)
+            (List.mapi (fun i op -> (i, op)) ops)
+          && List.for_all (fun e -> pop_entry q = e) !model
+          && Event_queue.is_empty q)
+        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
@@ -443,14 +511,12 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "shuffle_list elements" `Quick
             test_rng_shuffle_list_preserves_elements;
+          QCheck_alcotest.to_alcotest prop_rng_of_seed;
         ] );
       ( "heap",
         [
           Alcotest.test_case "basic order" `Quick test_heap_basic;
-          Alcotest.test_case "pop_exn empty" `Quick test_heap_pop_exn_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
-          Alcotest.test_case "sorted view nondestructive" `Quick
-            test_heap_to_sorted_list_nondestructive;
+          Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
         ] );
