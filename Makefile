@@ -1,6 +1,6 @@
 # Convenience wrappers around dune; see README.md "Reproducing the paper".
 
-.PHONY: build test lint lint-typed bench bench-smoke bench-determinism chaos-smoke scale-smoke couple-smoke serve-smoke attack-smoke perfbench-smoke clean
+.PHONY: build test lint bench bench-smoke bench-determinism chaos-smoke couple-smoke serve-smoke attack-smoke perfbench-smoke clean
 
 build:
 	dune build @all
@@ -9,17 +9,13 @@ test:
 	dune runtest
 
 # Project-specific static analysis (see DESIGN.md "Static analysis").
-# Exits 1 on any unsuppressed finding, 2 on infrastructure/usage errors.
-# The default tier is syntactic: parsetree heuristics, no build needed.
-lint:
-	dune exec bin/slp_lint.exe -- lib bin bench perfbench
-
-# Both tiers: the typed tier loads .cmt files from _build/default (hence
-# the @check build first) and adds alias-proof path resolution plus the
+# slp-lint reads the .cmt files of the build (hence the @check build
+# first): resolved paths, so aliases cannot hide a banned call, plus the
 # interprocedural analyses (rng-flow, pool-escape, decider-purity).
-lint-typed:
+# Exits 1 on any unsuppressed finding, 2 on infrastructure/usage errors.
+lint:
 	dune build @check
-	dune exec bin/slp_lint.exe -- --tier both --sarif _build/slp-lint.sarif lib bin bench perfbench
+	dune exec bin/slp_lint.exe -- --sarif _build/slp-lint.sarif lib bin bench perfbench
 
 # Full harness: every table/figure of the paper plus ablations (minutes).
 bench:
@@ -54,69 +50,49 @@ chaos-smoke:
 	diff -u _build/chaos_d1.json _build/chaos_d2.json
 	@echo "chaos resilience JSON byte-identical for --domains 1 and 2"
 
-# Sharded-engine determinism at (bounded) scale: a 101x101 grid's
-# observables JSON — schedule facts, attacker verdict, per-cell and merged
-# counters — must be byte-identical for --domains 1 and 2.  timeout(1)
-# enforces the wall-clock budget; the full 1000x1000 sweep lives in the
-# bench scale section (BENCH_SCALE=101,317,1000 make bench).
-scale-smoke:
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --cells 4 \
-	  --domains 1 --json _build/scale_d1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --cells 4 \
-	  --domains 2 --json _build/scale_d2.json > /dev/null
-	diff -u _build/scale_d1.json _build/scale_d2.json
-	@echo "scale observables byte-identical for --domains 1 and 2"
-
 # Coupled sharding determinism: a coupled 101x101 run's observables JSON —
-# merged engine counters over the cut-edge mailbox/window machinery — must
-# be byte-identical to the single-cell run whatever the decomposition
-# (--cells 1 vs 4) and wherever the cells execute (--domains 1 vs 2).
+# schedule facts, attacker verdict and the merged engine counters over the
+# cut-edge mailbox/window machinery — must be byte-identical to the
+# single-cell run whatever the decomposition (--cells 1 vs 4) and wherever
+# the cells execute (--domains 1 vs 2).  timeout(1) enforces the
+# wall-clock budget; the large-grid timings live in the bench
+# (BENCH_COUPLE=101,317,1000 make bench).
 couple-smoke:
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 1 --domains 1 --json _build/couple_c1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 4 --domains 1 --json _build/couple_c4_d1.json > /dev/null
-	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 --couple \
+	timeout 120 dune exec bin/slp_das_cli.exe -- scale -d 101 \
 	  --cells 4 --domains 2 --json _build/couple_c4_d2.json > /dev/null
 	diff -u _build/couple_c1.json _build/couple_c4_d1.json
 	diff -u _build/couple_c4_d1.json _build/couple_c4_d2.json
 	@echo "coupled observables byte-identical across cell and domain counts"
 
-# Verification service determinism: batch answers (JSON lines on stdout)
-# must be byte-identical across --domains 1 and 2 on cold caches, and a
-# warm rerun over the first run's on-disk cache must reproduce the cold
-# output exactly — answers never depend on where they were computed.
-serve-smoke:
-	printf 'dim=7 seed=1\ndim=7 seed=1 slp=true sd=2\ndim=9 seed=2 r=2 h=2 m=1 decide=history-avoiding\ndim=7 seed=1\n' \
-	  > _build/serve_queries.txt
-	rm -rf _build/serve_cache_a _build/serve_cache_b
-	dune exec bin/slp_das_cli.exe -- serve _build/serve_queries.txt \
-	  --domains 1 --cache-dir _build/serve_cache_a > _build/serve_d1.out
-	dune exec bin/slp_das_cli.exe -- serve _build/serve_queries.txt \
-	  --domains 2 --cache-dir _build/serve_cache_b > _build/serve_d2.out
-	diff -u _build/serve_d1.out _build/serve_d2.out
-	dune exec bin/slp_das_cli.exe -- serve _build/serve_queries.txt \
-	  --domains 1 --cache-dir _build/serve_cache_a > _build/serve_warm.out
-	diff -u _build/serve_d1.out _build/serve_warm.out
-	@echo "serve answers byte-identical across domain counts and warm cache"
+# Verification service determinism, over two query files: plain
+# exhaustive verification, and the adversary zoo (every attacker class,
+# exhaustive and Monte-Carlo, one duplicate line for the MC cache).  Each
+# file's answers (JSON lines on stdout) must be byte-identical across
+# --domains 1 and 2 on cold caches, and a warm rerun over the first run's
+# on-disk cache must reproduce the cold output exactly — answers never
+# depend on where they were computed.
+SERVE_QUERIES_serve = 'dim=7 seed=1\ndim=7 seed=1 slp=true sd=2\ndim=9 seed=2 r=2 h=2 m=1 decide=history-avoiding\ndim=7 seed=1\n'
+SERVE_QUERIES_attack = 'dim=7 seed=1\ndim=7 seed=1 attacker=global mc=64\ndim=7 seed=2 attacker=coop:3 mc=64\ndim=9 seed=2 attacker=sector-phantom mc=128\ndim=7 seed=1 attacker=local mc=64\ndim=7 seed=1 attacker=global mc=64\n'
 
-# Adversary-zoo end-to-end: a mixed exhaustive/Monte-Carlo query file
-# (every attacker class, one duplicate line for the MC cache) served at one
-# and two domains must print byte-identical JSON answer lines, and a warm
-# rerun over the first run's disk cache must reproduce the cold output.
-attack-smoke:
-	printf 'dim=7 seed=1\ndim=7 seed=1 attacker=global mc=64\ndim=7 seed=2 attacker=coop:3 mc=64\ndim=9 seed=2 attacker=sector-phantom mc=128\ndim=7 seed=1 attacker=local mc=64\ndim=7 seed=1 attacker=global mc=64\n' \
-	  > _build/attack_queries.txt
-	rm -rf _build/attack_cache_a _build/attack_cache_b
-	dune exec bin/slp_das_cli.exe -- serve _build/attack_queries.txt \
-	  --domains 1 --cache-dir _build/attack_cache_a > _build/attack_d1.out
-	dune exec bin/slp_das_cli.exe -- serve _build/attack_queries.txt \
-	  --domains 2 --cache-dir _build/attack_cache_b > _build/attack_d2.out
-	diff -u _build/attack_d1.out _build/attack_d2.out
-	dune exec bin/slp_das_cli.exe -- serve _build/attack_queries.txt \
-	  --domains 1 --cache-dir _build/attack_cache_a > _build/attack_warm.out
-	diff -u _build/attack_d1.out _build/attack_warm.out
-	@echo "MC certification byte-identical across domain counts and warm cache"
+serve-smoke: serve-smoke-serve
+attack-smoke: serve-smoke-attack
+
+serve-smoke-%:
+	printf $(SERVE_QUERIES_$*) > _build/$*_queries.txt
+	rm -rf _build/$*_cache_a _build/$*_cache_b
+	dune exec bin/slp_das_cli.exe -- serve _build/$*_queries.txt \
+	  --domains 1 --cache-dir _build/$*_cache_a > _build/$*_d1.out
+	dune exec bin/slp_das_cli.exe -- serve _build/$*_queries.txt \
+	  --domains 2 --cache-dir _build/$*_cache_b > _build/$*_d2.out
+	diff -u _build/$*_d1.out _build/$*_d2.out
+	dune exec bin/slp_das_cli.exe -- serve _build/$*_queries.txt \
+	  --domains 1 --cache-dir _build/$*_cache_a > _build/$*_warm.out
+	diff -u _build/$*_d1.out _build/$*_warm.out
+	@echo "$* answers byte-identical across domain counts and warm cache"
 
 # Discrete-event drift check: one traced second of each DES workload of the
 # repository benchmark at seed 1.  perfbench compares every output line

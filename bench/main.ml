@@ -1444,19 +1444,6 @@ let scale () =
             | Slpdas_core.Verifier.Captured { periods; _ } ->
               Printf.sprintf "captured@%d" periods
           in
-          (* Sharded engine run: wave flooding, one engine per spatial cell
-             fanned out over the domain pool. *)
-          let cells = max 1 (min 16 (dim / 50)) in
-          let plan, plan_s =
-            wall (fun () -> Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topology)
-          in
-          let (_, merged), shard_s =
-            wall (fun () ->
-                Slpdas_sim.Shard.run ~domains plan
-                  ~link:Slpdas_sim.Link_model.Ideal ~seed:1
-                  ~program:(fun ~cell:_ ~self -> wave_program ~self)
-                  ~until:3.0)
-          in
           ( dim,
             n,
             Slpdas_wsn.Graph.num_edges g,
@@ -1464,24 +1451,13 @@ let scale () =
             build_s,
             compact_s,
             verify_s,
-            outcome,
-            cells,
-            Array.length plan.Slpdas_sim.Shard.cells,
-            plan.Slpdas_sim.Shard.cut_edges,
-            plan_s,
-            shard_s,
-            merged.Slpdas_sim.Event.broadcasts ))
+            outcome ))
         scale_dims
     in
     emit ~name:"scale"
-      ~header:
-        [
-          "grid"; "nodes"; "topology"; "DAS build"; "compact"; "verify";
-          "cells"; "shard run"; "shard tx";
-        ]
+      ~header:[ "grid"; "nodes"; "topology"; "DAS build"; "compact"; "verify" ]
       (List.map
-         (fun (dim, n, _m, topo_s, build_s, compact_s, verify_s, outcome,
-               cells, _ncells, _cut, _plan_s, shard_s, tx) ->
+         (fun (dim, n, _m, topo_s, build_s, compact_s, verify_s, outcome) ->
            [
              Printf.sprintf "%dx%d" dim dim;
              string_of_int n;
@@ -1489,9 +1465,6 @@ let scale () =
              Printf.sprintf "%.2f s" build_s;
              Printf.sprintf "%.2f s" compact_s;
              Printf.sprintf "%.4f s (%s)" verify_s outcome;
-             Printf.sprintf "%dx%d" cells cells;
-             Printf.sprintf "%.2f s" shard_s;
-             string_of_int tx;
            ])
          records);
     (try
@@ -1502,17 +1475,13 @@ let scale () =
       output_string oc "{\n  \"unit\": \"seconds, single run\",\n";
       Printf.fprintf oc "  \"domains\": %d,\n  \"grids\": [\n" domains;
       List.iteri
-        (fun i (dim, n, m, topo_s, build_s, compact_s, verify_s, outcome,
-                _cells, ncells, cut, plan_s, shard_s, tx) ->
+        (fun i (dim, n, m, topo_s, build_s, compact_s, verify_s, outcome) ->
           Printf.fprintf oc
             "    {\"dim\": %d, \"nodes\": %d, \"edges\": %d, \
              \"topology_s\": %.4f, \"das_build_s\": %.4f, \
              \"das_build_compact_s\": %.4f, \"verify_s\": %.4f, \
-             \"verify_outcome\": %S, \"shard_cells\": %d, \
-             \"shard_cut_edges\": %d, \"shard_plan_s\": %.4f, \
-             \"shard_run_s\": %.4f, \"shard_broadcasts\": %d}%s\n"
-            dim n m topo_s build_s compact_s verify_s outcome ncells cut
-            plan_s shard_s tx
+             \"verify_outcome\": %S}%s\n"
+            dim n m topo_s build_s compact_s verify_s outcome
             (if i = List.length records - 1 then "" else ","))
         records;
       output_string oc "  ]\n}\n";
@@ -1556,8 +1525,8 @@ let coupled_scale () =
           Printf.eprintf "[couple] %dx%d...\n%!" dim dim;
           let topology = Slpdas_wsn.Topology.grid dim in
           let n = Slpdas_wsn.Graph.n topology.Slpdas_wsn.Topology.graph in
-          (* At least a 2x2 decomposition (4 cells), growing with the grid
-             like the radio-isolated scale section does. *)
+          (* At least a 2x2 decomposition (4 cells), growing with the
+             grid. *)
           let cells = max 2 (min 16 (dim / 50)) in
           let plan =
             Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topology

@@ -499,7 +499,14 @@ let chaos_cmd =
       match plan_text with
       | None -> Slpdas_fault.Churn.churn_plan ~params ~crashes ()
       | Some text ->
-        begin match Slpdas_fault.Fault_plan.of_string text with
+        let checked =
+          Result.bind (Slpdas_fault.Fault_plan.of_string text) (fun plan ->
+              Result.map
+                (fun () -> plan)
+                (Slpdas_fault.Fault_plan.validate
+                   ~topology:(Slpdas_wsn.Topology.grid dim) plan))
+        in
+        begin match checked with
         | Ok plan -> plan
         | Error reason ->
           Format.eprintf "bad --fault-plan: %s@." reason;
@@ -642,8 +649,9 @@ let experiment_cmd =
 (* scale                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Wave-flooding workload for the sharded engine: local node 0 of each
-   cell floods a counter every simulated second. *)
+(* Wave-flooding workload for the coupled sharded engine: global node 0
+   floods a counter every simulated second and everyone else forwards
+   fresher waves. *)
 let scale_wave_program ~self =
   let go_timer = Slpdas_gcn.Timer.intern "scale-wave" in
   let init ~self =
@@ -669,9 +677,9 @@ let scale_wave_program ~self =
   { Slpdas_gcn.init; actions = [ go; forward ]; spontaneous = [] }
 
 let scale_cmd =
-  let run dim seed cells domains until couple json =
+  let run dim seed cells domains until json =
     (* Wall-clock reads here only feed the human-readable progress report;
-       the --json observables (what scale-smoke diffs) carry no timings. *)
+       the --json observables (what couple-smoke diffs) carry no timings. *)
     let wall f =
       (* slp-lint: allow wall-clock *)
       let t0 = Unix.gettimeofday () in
@@ -718,108 +726,50 @@ let scale_cmd =
     Format.printf "attacker run (Algorithm 1, safety 2n): %.4f s; %s@."
       verify_s outcome;
     let plan = Slpdas_sim.Shard.plan ~cells_x:cells ~cells_y:cells topo in
-    if couple then begin
-      let (_, merged), shard_s =
-        wall (fun () ->
-            Slpdas_sim.Shard.run_coupled ?domains plan
-              ~link:Slpdas_sim.Link_model.Ideal ~seed
-              ~program:scale_wave_program ~until)
-      in
-      Format.printf
-        "coupled run: %d cells (%d cut links, %d boundary nodes), %.1f s sim \
-         in %.3f s wall; %d broadcasts, %d deliveries@."
-        (Array.length plan.Slpdas_sim.Shard.cells)
-        plan.Slpdas_sim.Shard.cut_links
-        (Slpdas_sim.Shard.boundary_nodes plan)
-        until shard_s merged.Slpdas_sim.Event.broadcasts
-        merged.Slpdas_sim.Event.deliveries;
-      match json with
-      | None -> ()
-      | Some path ->
-        (* Coupled observables are cell-count- and domain-count-invariant
-           (byte-identical to the unsharded sequential engine), so the JSON
-           carries only decomposition-free facts — make couple-smoke diffs
-           exactly this file across --cells and --domains. *)
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
-           \"strong_violations\": %d, \"verify_outcome\": %S, \"coupled\": %s}\n"
-          dim n
-          (Slpdas_wsn.Graph.num_edges g)
-          (Slpdas_core.Das_build.schedule_length schedule)
-          (List.length strong) outcome
-          (Slpdas_sim.Event.to_json merged);
-        close_out oc;
-        Format.printf "scale: wrote %s@." path
-    end
-    else begin
-      let (per_cell, merged), shard_s =
-        wall (fun () ->
-            Slpdas_sim.Shard.run ?domains plan
-              ~link:Slpdas_sim.Link_model.Ideal ~seed
-              ~program:(fun ~cell:_ ~self -> scale_wave_program ~self)
-              ~until)
-      in
-      Format.printf
-        "sharded run: %d cells (%d cut links, %d cut arcs), %.1f s sim in \
-         %.3f s wall; %d broadcasts, %d deliveries@."
-        (Array.length plan.Slpdas_sim.Shard.cells)
-        plan.Slpdas_sim.Shard.cut_links plan.Slpdas_sim.Shard.cut_arcs until
-        shard_s merged.Slpdas_sim.Event.broadcasts
-        merged.Slpdas_sim.Event.deliveries;
-      match json with
-      | None -> ()
-      | Some path ->
-        (* Deterministic observables only (no timings): the same file must be
-           byte-identical for every --domains value — make scale-smoke diffs
-           exactly this. *)
-        let boundary =
-          String.concat ", "
-            (Array.to_list
-               (Array.map
-                  (fun c -> string_of_int c.Slpdas_sim.Shard.boundary_nodes)
-                  plan.Slpdas_sim.Shard.cells))
-        in
-        let oc = open_out path in
-        Printf.fprintf oc
-          "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
-           \"strong_violations\": %d, \"verify_outcome\": %S, \"cells\": %d, \
-           \"cut_edges\": %d, \"cut_links\": %d, \"cut_arcs\": %d, \
-           \"boundary_nodes\": [%s], \"sharded\": %s}\n"
-          dim n
-          (Slpdas_wsn.Graph.num_edges g)
-          (Slpdas_core.Das_build.schedule_length schedule)
-          (List.length strong) outcome
-          (Array.length plan.Slpdas_sim.Shard.cells)
-          plan.Slpdas_sim.Shard.cut_edges plan.Slpdas_sim.Shard.cut_links
-          plan.Slpdas_sim.Shard.cut_arcs boundary
-          (Slpdas_sim.Shard.counters_json per_cell merged);
-        close_out oc;
-        Format.printf "scale: wrote %s@." path
-    end
+    let (_, merged), shard_s =
+      wall (fun () ->
+          Slpdas_sim.Shard.run_coupled ?domains plan
+            ~link:Slpdas_sim.Link_model.Ideal ~seed
+            ~program:scale_wave_program ~until)
+    in
+    Format.printf
+      "coupled run: %d cells (%d cut links, %d boundary nodes), %.1f s sim \
+       in %.3f s wall; %d broadcasts, %d deliveries@."
+      (Array.length plan.Slpdas_sim.Shard.cells)
+      plan.Slpdas_sim.Shard.cut_links
+      (Slpdas_sim.Shard.boundary_nodes plan)
+      until shard_s merged.Slpdas_sim.Event.broadcasts
+      merged.Slpdas_sim.Event.deliveries;
+    match json with
+    | None -> ()
+    | Some path ->
+      (* Coupled observables are cell-count- and domain-count-invariant
+         (byte-identical to the unsharded sequential engine), so the JSON
+         carries only decomposition-free facts — make couple-smoke diffs
+         exactly this file across --cells and --domains. *)
+      let oc = open_out path in
+      Printf.fprintf oc
+        "{\"dim\": %d, \"nodes\": %d, \"edges\": %d, \"period_length\": %d, \
+         \"strong_violations\": %d, \"verify_outcome\": %S, \"coupled\": %s}\n"
+        dim n
+        (Slpdas_wsn.Graph.num_edges g)
+        (Slpdas_core.Das_build.schedule_length schedule)
+        (List.length strong) outcome
+        (Slpdas_sim.Event.to_json merged);
+      close_out oc;
+      Format.printf "scale: wrote %s@." path
   in
   let cells_arg =
     Arg.(
       value & opt int 4
       & info [ "cells" ] ~docv:"C"
-          ~doc:"Partition the grid into CxC spatial cells for the sharded run.")
+          ~doc:"Partition the grid into CxC spatial cells for the coupled run.")
   in
   let until_arg =
     Arg.(
       value & opt float 3.0
       & info [ "until" ] ~docv:"SECS"
-          ~doc:"Simulated seconds for the sharded engine run.")
-  in
-  let couple_arg =
-    Arg.(
-      value & flag
-      & info [ "couple" ]
-          ~doc:
-            "Keep cut edges radio-coupled: run the cells as a conservative \
-             parallel discrete-event simulation (lookahead windows, boundary \
-             mailboxes) whose observables are byte-identical to the \
-             unsharded sequential engine at any $(b,--cells) and \
-             $(b,--domains) value.")
+          ~doc:"Simulated seconds for the coupled engine run.")
   in
   let json_arg =
     Arg.(
@@ -828,16 +778,17 @@ let scale_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the run's deterministic observables (schedule facts, \
-             verdict, sharded counters; no timings) as JSON to FILE.")
+             verdict, merged coupled counters; no timings) as JSON to FILE; \
+             byte-identical at any $(b,--cells) and $(b,--domains) value.")
   in
   Cmd.v
     (Cmd.info "scale"
        ~doc:
          "Large-grid scaling probe: DAS build, attacker verification and a \
-          sharded engine run")
+          radio-coupled sharded engine run")
     Term.(
       const run $ dim_arg $ seed_arg $ cells_arg $ domains_arg $ until_arg
-      $ couple_arg $ json_arg)
+      $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                              *)
@@ -938,11 +889,38 @@ let parse_serve_query ~line_no line =
         in
         Result.bind r (fun () -> go rest))
   in
-  Result.bind (go tokens) (fun q ->
-      if q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc <= 0 then
-        fail "line %d: attacker=%s requires mc=<trials> (> 0)" line_no
-          (Slpdas_attack.Model.to_string q.q_attacker)
-      else Ok q)
+  (* Range rules, checked here so a query the library would reject is a
+     line error (exit 2) rather than an exception mid-batch. *)
+  let at_least k n lo =
+    if n < lo then fail "line %d: %s wants an integer >= %d, got %d" line_no k lo n
+    else Ok ()
+  in
+  let ( let* ) = Result.bind in
+  let* q = go tokens in
+  let* () = at_least "dim" q.q_dim 2 in
+  let* () = at_least "r" q.q_r 1 in
+  let* () = at_least "h" q.q_h 0 in
+  let* () = at_least "m" q.q_m 1 in
+  let* () =
+    if q.q_slp then
+      let* () = at_least "sd" q.q_sd 1 in
+      at_least "gap" q.q_gap 1
+    else Ok ()
+  in
+  let* () =
+    match q.q_safety with Some p -> at_least "safety" p 0 | None -> Ok ()
+  in
+  let* () =
+    match q.q_source with
+    | Some v when v < 0 || v >= q.q_dim * q.q_dim ->
+      fail "line %d: source %d is not a node of the %dx%d grid" line_no v
+        q.q_dim q.q_dim
+    | _ -> Ok ()
+  in
+  if q.q_attacker <> Slpdas_attack.Model.Local && q.q_mc <= 0 then
+    fail "line %d: attacker=%s requires mc=<trials> (> 0)" line_no
+      (Slpdas_attack.Model.to_string q.q_attacker)
+  else Ok q
 
 type serve_job =
   | Exhaustive of Slpdas_serve.Batch.item

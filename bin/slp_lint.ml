@@ -1,5 +1,5 @@
-(* slp-lint CLI: lint every .ml under the given roots with the selected
-   analysis tier(s), print diagnostics (human, --json or --sarif) and exit
+(* slp-lint CLI: lint every .ml under the given roots over the typedtrees
+   of the build (run `dune build @check` first), print diagnostics (human, --json or --sarif) and exit
    non-zero if any survive suppression and the baseline.  See DESIGN.md
    "Static analysis".
 
@@ -12,8 +12,8 @@ open Slpdas_lint
 
 let default_allowlist_file = ".slp-lint-allowlist"
 
-(* Diagnostics with these rule names are tool failures, not findings. *)
-let infra_rule rule = String.equal rule "parse" || String.equal rule "typed-load"
+(* Diagnostics with this rule name are tool failures, not findings. *)
+let infra_rule rule = String.equal rule "typed-load"
 
 let resolve_rules = function
   | None -> Ok Rules.all
@@ -61,9 +61,7 @@ let list_rules () =
   List.iter
     (fun r ->
       print_string r.Rules.name;
-      print_string " (";
-      print_string (Rules.tier_name r.Rules.tier);
-      print_string ")\n  ";
+      print_string "\n  ";
       print_string r.Rules.summary;
       print_newline ())
     Rules.all;
@@ -72,7 +70,7 @@ let list_rules () =
 let write_file path contents =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
 
-let lint roots json tier_name cmt_root rules_spec allowlist_path baseline_path
+let lint roots json cmt_root rules_spec allowlist_path baseline_path
     write_baseline_path sarif_path list_rules_flag =
   if list_rules_flag then list_rules ()
   else
@@ -84,18 +82,11 @@ let lint roots json tier_name cmt_root rules_spec allowlist_path baseline_path
       | Ok v -> f v
     in
     let* rules = resolve_rules rules_spec in
-    let* tier =
-      Option.to_result
-        ~none:
-          (Printf.sprintf "unknown tier %s (expected syntactic, typed or both)"
-             tier_name)
-        (Driver.tier_of_string tier_name)
-    in
     let* allowlist = resolve_allowlist allowlist_path in
     let* baseline = resolve_baseline baseline_path in
     let config = { Driver.rules; allowlist } in
     let* diags =
-      match Driver.run_tier config ~tier ~cmt_root ~roots with
+      match Driver.run config ~cmt_root ~roots with
       | diags -> Ok diags
       | exception Driver.Unknown_root root ->
         Error (Printf.sprintf "root %s does not exist" root)
@@ -134,17 +125,8 @@ let json_arg =
   let doc = "Emit diagnostics as JSON instead of compiler-style lines." in
   Arg.(value & flag & info [ "json" ] ~doc)
 
-let tier_arg =
-  let doc =
-    "Analysis tier: $(b,syntactic) (parsetree heuristics, no build needed), \
-     $(b,typed) (typedtree analyses over .cmt files — alias-proof resolved \
-     paths, interprocedural rng-flow/pool-escape/decider-purity; run \
-     $(b,dune build) first), or $(b,both)."
-  in
-  Arg.(value & opt string "syntactic" & info [ "tier" ] ~docv:"TIER" ~doc)
-
 let cmt_root_arg =
-  let doc = "Build tree to load .cmt files from for the typed tier." in
+  let doc = "Build tree to load .cmt files from." in
   Arg.(value & opt string "_build/default" & info [ "cmt-root" ] ~docv:"DIR" ~doc)
 
 let rules_arg =
@@ -178,7 +160,7 @@ let sarif_arg =
   Arg.(value & opt (some string) None & info [ "sarif" ] ~docv:"FILE" ~doc)
 
 let list_rules_arg =
-  let doc = "Print the rule set with tiers and rationales, then exit." in
+  let doc = "Print the rule set with rationales, then exit." in
   Arg.(value & flag & info [ "list-rules" ] ~doc)
 
 let cmd =
@@ -192,10 +174,10 @@ let cmd =
          or wall-clock reads, no hash-order-dependent aggregation), domain \
          safety (no unsynchronized mutable captures in pool tasks) and \
          hot-path discipline (no polymorphic compares, no stray stdout). \
-         The syntactic tier needs only the sources; the typed tier reads \
-         .cmt files from the build tree and adds alias-proof path \
-         resolution plus the interprocedural analyses (rng-flow, \
-         pool-escape, decider-purity).";
+         It reads the .cmt files of the build tree (run $(b,dune build \
+         @check) first), so module aliases cannot hide a banned path, and \
+         adds the interprocedural analyses rng-flow, pool-escape and \
+         decider-purity.";
       `P
         "Exits 0 when clean, 1 if any finding survives suppression and the \
          baseline, and 2 on usage or infrastructure errors (unknown roots, \
@@ -211,7 +193,7 @@ let cmd =
   Cmd.v
     (Cmd.info "slp_lint" ~doc ~man)
     Term.(
-      const lint $ roots_arg $ json_arg $ tier_arg $ cmt_root_arg $ rules_arg
+      const lint $ roots_arg $ json_arg $ cmt_root_arg $ rules_arg
       $ allowlist_arg $ baseline_arg $ write_baseline_arg $ sarif_arg
       $ list_rules_arg)
 

@@ -89,7 +89,16 @@ let strong_condition3 g sched =
   done;
   List.rev !acc
 
-(* Weak condition 3: at least one neighbour is the sink or transmits later. *)
+(* Weak condition 3 at [v] (assigned with slot [s]): at least one
+   neighbour is the sink or transmits later. *)
+let has_forwarder g sched v s =
+  let sink = Schedule.sink sched in
+  let forwards m =
+    m = sink
+    || match Schedule.slot sched m with Some ms -> ms > s | None -> false
+  in
+  List.exists forwards (Slpdas_wsn.Graph.neighbour_list g v)
+
 let weak_condition3 g sched =
   let sink = Schedule.sink sched in
   let acc = ref [] in
@@ -98,15 +107,18 @@ let weak_condition3 g sched =
       match Schedule.slot sched v with
       | None -> ()
       | Some s ->
-        let forwards m =
-          m = sink
-          || match Schedule.slot sched m with Some ms -> ms > s | None -> false
-        in
-        if not (List.exists forwards (Slpdas_wsn.Graph.neighbour_list g v))
-        then acc := No_forwarder { node = v } :: !acc
+        if not (has_forwarder g sched v s) then
+          acc := No_forwarder { node = v } :: !acc
     end
   done;
   List.rev !acc
+
+let weak_at g sched v =
+  v = Schedule.sink sched
+  || non_colliding g sched v
+     && match Schedule.slot sched v with
+        | Some s -> has_forwarder g sched v s
+        | None -> false
 
 let check_strong g sched =
   unassigned sched @ strong_condition3 g sched @ collisions g sched

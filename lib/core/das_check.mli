@@ -42,6 +42,12 @@ val check_weak : Slpdas_wsn.Graph.t -> Schedule.t -> violation list
 (** [check_weak g sched] is empty iff [sched] is a weak DAS for [g]
     (Def. 3). *)
 
+val weak_at : Slpdas_wsn.Graph.t -> Schedule.t -> int -> bool
+(** [weak_at g sched v] holds iff no {!check_weak} violation names [v]:
+    [v] is the sink, or it is assigned, collides with no node of its 2-hop
+    neighbourhood and has a neighbour that is the sink or transmits
+    later. *)
+
 val is_strong : Slpdas_wsn.Graph.t -> Schedule.t -> bool
 
 val is_weak : Slpdas_wsn.Graph.t -> Schedule.t -> bool

@@ -156,6 +156,19 @@ let refine ?rng ?(gap = 1) g ~das ~search_distance ~change_length =
           | Some r -> 1 + Slpdas_util.Rng.int r 0x3FFF_FFFF
         in
         Das_build.repair ~salt g ~schedule ~parent ~pinned;
+        (* Weak repair never moves a pinned decoy, so one can be left with
+           every neighbour transmitting earlier (Def. 3, condition 3).
+           Unpinned nodes are the repair's to fix, so only decoys can carry
+           a violation: release those that do and repair once more.  A
+           sound repair is left untouched. *)
+        (match
+           List.filter (fun v -> not (Das_check.weak_at g schedule v)) change_path
+         with
+        | [] -> ()
+        | defective ->
+          let released = Int_set.of_list defective in
+          Das_build.repair ~salt g ~schedule ~parent
+            ~pinned:(fun v -> pinned v && not (Int_set.mem v released)));
         Some { refined = schedule; search_path; start_node; change_path }
       end
     end

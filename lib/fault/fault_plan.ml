@@ -167,16 +167,61 @@ type op =
 
 type resolved = { time : float; op : op }
 
+(* Every rule that ties a plan to a deployment, in one place: [compile]
+   enforces it, and callers holding user input report it as an error. *)
+let validate ~topology plan =
+  let n = Slpdas_wsn.Graph.n topology.Slpdas_wsn.Topology.graph in
+  let sink = topology.Slpdas_wsn.Topology.sink in
+  let node what v =
+    if v < 0 || v >= n then
+      Error (Printf.sprintf "%s node %d out of range" what v)
+    else Ok ()
+  in
+  let edge what a b =
+    let* () = node what a in
+    node what b
+  in
+  let check { at; action } =
+    let* () =
+      if Float.is_finite at && at >= 0.0 then Ok ()
+      else Error (Printf.sprintf "time %g is not a non-negative number" at)
+    in
+    match action with
+    | Crash (Node v) ->
+      let* () = node "crash" v in
+      if v = sink then Error "cannot crash the sink" else Ok ()
+    | Crash (Random_nodes k) when k < 0 ->
+      Error (Printf.sprintf "crash target k=%d is negative" k)
+    | Crash All_crashed -> Error "crash target 'all' is unsupported"
+    | Revive (Node v) -> node "revive" v
+    | Revive (Random_nodes _) -> Error "revive target k=… is unsupported"
+    | Crash (Random_nodes _ | Region _) | Revive (Region _ | All_crashed) ->
+      Ok ()
+    | Link_down { a; b } -> edge "linkdown" a b
+    | Degrade { a; b; _ } -> edge "degrade" a b
+    | Restore_link { a; b } -> edge "restore" a b
+    | Loss_burst { duration; _ } ->
+      if Float.is_finite duration && duration >= 0.0 then Ok ()
+      else
+        Error
+          (Printf.sprintf "burst duration %g is not a non-negative number"
+             duration)
+  in
+  List.fold_left
+    (fun acc e ->
+      let* () = acc in
+      check e)
+    (Ok ()) plan
+
 let compile ?(protect = []) ~topology ~seed plan =
   let graph = topology.Slpdas_wsn.Topology.graph in
   let n = Slpdas_wsn.Graph.n graph in
   let sink = topology.Slpdas_wsn.Topology.sink in
   let positions = topology.Slpdas_wsn.Topology.positions in
+  (match validate ~topology plan with
+  | Ok () -> ()
+  | Error reason -> invalid_arg ("Fault_plan.compile: " ^ reason));
   let rng = Slpdas_util.Rng.create seed in
-  let check_node what v =
-    if v < 0 || v >= n then
-      invalid_arg (Printf.sprintf "Fault_plan.compile: %s node %d out of range" what v)
-  in
   (* Entries resolve in time order so that stateful targets (All_crashed,
      the crashed-set exclusion of Random_nodes) see the set of nodes down
      at that plan instant. *)
@@ -195,10 +240,7 @@ let compile ?(protect = []) ~topology ~seed plan =
     !acc
   in
   let resolve_crash = function
-    | Node v ->
-      check_node "crash" v;
-      if v = sink then invalid_arg "Fault_plan.compile: cannot crash the sink";
-      [ v ]
+    | Node v -> [ v ]
     | Random_nodes k ->
       let candidates = ref [] in
       for v = n - 1 downto 0 do
@@ -209,17 +251,13 @@ let compile ?(protect = []) ~topology ~seed plan =
       Slpdas_util.Rng.shuffle rng arr;
       Array.to_list (Array.sub arr 0 (min k (Array.length arr)))
     | Region { x0; y0; x1; y1 } -> region_nodes ~x0 ~y0 ~x1 ~y1
-    | All_crashed ->
-      invalid_arg "Fault_plan.compile: crash target 'all' is unsupported"
+    | All_crashed -> assert false (* rejected by [validate] *)
   in
   let resolve_revive = function
-    | Node v ->
-      check_node "revive" v;
-      [ v ]
+    | Node v -> [ v ]
     | Region { x0; y0; x1; y1 } -> region_nodes ~x0 ~y0 ~x1 ~y1
     | All_crashed -> !crashed
-    | Random_nodes _ ->
-      invalid_arg "Fault_plan.compile: revive target k=… is unsupported"
+    | Random_nodes _ -> assert false (* rejected by [validate] *)
   in
   let ops =
     List.concat_map
@@ -234,16 +272,10 @@ let compile ?(protect = []) ~topology ~seed plan =
           crashed := List.filter (fun c -> not (List.mem c vs)) !crashed;
           List.map (fun v -> { time = at; op = Restart v }) vs
         | Link_down { a; b } ->
-          check_node "linkdown" a;
-          check_node "linkdown" b;
           [ { time = at; op = Set_link { a; b; loss = 1.0 } } ]
         | Degrade { a; b; loss } ->
-          check_node "degrade" a;
-          check_node "degrade" b;
           [ { time = at; op = Set_link { a; b; loss } } ]
         | Restore_link { a; b } ->
-          check_node "restore" a;
-          check_node "restore" b;
           [ { time = at; op = Set_link { a; b; loss = 0.0 } } ]
         | Loss_burst { loss; duration } ->
           [

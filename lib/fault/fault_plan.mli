@@ -75,6 +75,13 @@ type op =
 
 type resolved = { time : float; op : op }
 
+val validate : topology:Slpdas_wsn.Topology.t -> t -> (unit, string) result
+(** Check a parsed plan against a deployment: every named node and link
+    endpoint in range, no [Crash (Node sink)], no negative [k], no
+    [Crash All_crashed] or [Revive (Random_nodes _)], and times and burst
+    durations finite and non-negative.  [Error] names the first offending
+    entry in plan order.  {!compile} enforces the same rules. *)
+
 val compile :
   ?protect:int list ->
   topology:Slpdas_wsn.Topology.t ->
@@ -85,5 +92,4 @@ val compile :
     The sink is never crashed; [protect] shields further nodes (typically
     the data sources) from [Random_nodes] draws.  [Loss_burst] expands to a
     set/clear pair of [Set_global] operations.
-    @raise Invalid_argument on out-of-range nodes, a [Crash (Node sink)],
-    a [Crash All_crashed] or a [Revive (Random_nodes _)]. *)
+    @raise Invalid_argument when {!validate} rejects the plan. *)

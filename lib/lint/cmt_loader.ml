@@ -1,4 +1,4 @@
-(* Typed-unit acquisition for the typed tier.
+(* Typed-unit acquisition for slp-lint.
 
    Primary source: .cmt files under the dune build tree (dune compiles with
    -bin-annot, so every built module has one).  They carry the typedtree the
@@ -138,10 +138,10 @@ let type_in_process ~cmi_dirs ~path ~source =
       Error
         (Diagnostic.make ~rule:"typed-load" ~loc
            ~message:
-             (Printf.sprintf "typed tier could not load this file: %s" txt))
+             (Printf.sprintf "slp-lint could not type this file: %s" txt))
     | _ ->
       Error
         (Diagnostic.v ~rule:"typed-load" ~file:path ~line:1 ~col:0
            ~message:
-             (Printf.sprintf "typed tier could not load this file: %s"
+             (Printf.sprintf "slp-lint could not type this file: %s"
                 (Printexc.to_string e))))

@@ -1,4 +1,4 @@
-(** Typed-unit acquisition for the typed tier: load [.cmt] files from the
+(** Typed-unit acquisition for slp-lint: load [.cmt] files from the
     dune build tree, or type source in-process when none exist (fixtures,
     unbuilt trees). *)
 

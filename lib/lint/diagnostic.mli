@@ -9,7 +9,7 @@ type t = {
 }
 
 val make : rule:string -> loc:Location.t -> message:string -> t
-(** Build a diagnostic from a parsetree location (start position). *)
+(** Build a diagnostic from a source location (start position). *)
 
 val v : rule:string -> file:string -> line:int -> col:int -> message:string -> t
 

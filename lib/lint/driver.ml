@@ -12,43 +12,12 @@ exception Unknown_root of string
    suppressions and allowlist entries. *)
 let normalize = Suppress.normalize_path
 
-let parse ~path source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf path;
-  try Ok (Parse.implementation lexbuf) with
-  | e -> (
-    match Location.error_of_exn e with
-    | Some (`Ok report) ->
-      let loc = report.Location.main.Location.loc in
-      Error
-        (Diagnostic.make ~rule:"parse" ~loc
-           ~message:"file does not parse; slp-lint cannot analyse it")
-    | _ ->
-      Error
-        (Diagnostic.v ~rule:"parse" ~file:path ~line:1 ~col:0
-           ~message:
-             (Printf.sprintf "unexpected parser failure: %s"
-                (Printexc.to_string e))))
-
 let scoped_rules config path =
   List.filter
     (fun r ->
       r.Rules.applies path
       && not (Suppress.allowlisted config.allowlist ~file:path ~rule:r.Rules.name))
     config.rules
-
-let check_source config ~path ~source =
-  let path = normalize path in
-  let rules = Rules.syntactic (scoped_rules config path) in
-  if List.is_empty rules then []
-  else
-    match parse ~path source with
-    | Error d -> [ d ]
-    | Ok str ->
-      let sup = Suppress.scan source in
-      Walk.check ~rules str
-      |> List.filter (fun d ->
-             not (Suppress.allows sup ~rule:d.Diagnostic.rule ~line:d.Diagnostic.line))
 
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
@@ -78,13 +47,6 @@ let files_under roots =
       if Sys.file_exists root then visit root else raise (Unknown_root root))
     roots;
   List.sort String.compare !out
-
-let check_file config path =
-  check_source config ~path ~source:(read_file path)
-
-(* ------------------------------------------------------------------ *)
-(* Typed tier                                                         *)
-(* ------------------------------------------------------------------ *)
 
 (* Run the whole typed pipeline over already-loaded units: per-unit state,
    project call graph, per-file typed rules, the closure-boundary flow
@@ -131,9 +93,9 @@ let filter_suppressed config ~sources diags =
               ~rule:d.Diagnostic.rule ~line:d.Diagnostic.line))
     diags
 
-(* When both tiers run, a rule implemented in both reports twice for the
-   same site (possibly with different wording); one finding per
-   (file, line, rule) is enough. *)
+(* The per-file rules and the flow analyses can both report one site
+   (possibly with different wording); one finding per (file, line, rule)
+   is enough. *)
 let dedup diags =
   let seen = Hashtbl.create 64 in
   List.sort Diagnostic.order diags
@@ -144,14 +106,6 @@ let dedup diags =
            Hashtbl.replace seen key ();
            true
          end)
-
-type tier = Syntactic | Typed | Both
-
-let tier_of_string = function
-  | "syntactic" -> Some Syntactic
-  | "typed" -> Some Typed
-  | "both" -> Some Both
-  | _ -> None
 
 (* Acquire the typed units for the scanned files: the build tree's .cmt
    when present, in-process typing otherwise.  Returns load failures as
@@ -182,38 +136,21 @@ let load_units ~cmt_root files =
     ([], []) files
   |> fun (units, errs) -> (List.rev units, List.rev errs)
 
-let run_tier config ~tier ~cmt_root ~roots =
+let run config ~cmt_root ~roots =
   let files = files_under roots in
   let sources = Hashtbl.create 64 in
   List.iter
     (fun path -> Hashtbl.replace sources (normalize path) (read_file path))
     files;
-  let source_of file = Hashtbl.find_opt sources file in
-  let syntactic =
-    match tier with
-    | Typed -> []
-    | Syntactic | Both ->
-      List.concat_map
-        (fun path ->
-          check_source config ~path
-            ~source:(Option.value ~default:"" (source_of (normalize path))))
-        files
-  in
-  let typed =
-    match tier with
-    | Syntactic -> []
-    | Typed | Both ->
-      let units, errs = load_units ~cmt_root files in
-      errs
-      @ filter_suppressed config ~sources:source_of
-          (List.map
-             (fun (d : Diagnostic.t) ->
-               { d with Diagnostic.file = normalize d.Diagnostic.file })
-             (typed_diags config units))
-  in
-  dedup (syntactic @ typed)
-
-let run config ~roots = run_tier config ~tier:Syntactic ~cmt_root:"" ~roots
+  let units, errs = load_units ~cmt_root files in
+  dedup
+    (errs
+    @ filter_suppressed config
+        ~sources:(fun file -> Hashtbl.find_opt sources file)
+        (List.map
+           (fun (d : Diagnostic.t) ->
+             { d with Diagnostic.file = normalize d.Diagnostic.file })
+           (typed_diags config units)))
 
 (* Fixture entry point: type [source] in-process and run the full typed
    pipeline on the resulting single-unit project. *)

@@ -13,8 +13,9 @@
 
    - pool-escape: mutation of captured or ambient mutable state, directly
      or through any transitive callee ([mut_params] matched against
-     captured arguments, or [ambient_mut] anywhere in the callee's cone).
-     [Atomic.*]/[Mutex.*] are exempt, as in the syntactic tier. *)
+     captured arguments, or [ambient_mut] anywhere in the callee's cone),
+     and reads of a captured ref or mutable field in the closure body.
+     [Atomic.*]/[Mutex.*] are exempt. *)
 
 open Typedtree
 
@@ -24,6 +25,42 @@ let diag diags rule loc fmt =
   Printf.ksprintf
     (fun message -> diags := Diagnostic.make ~rule ~loc ~message :: !diags)
     fmt
+
+(* Reads of captured mutable state in a task literal: [!r], or a read of
+   a mutable record field (a ref's [contents] included) whose root is
+   captured.  A lane that only reads still races with whoever writes.
+   Atomic/Mutex applications are not entered. *)
+let check_reads st ~classify ~diags lit =
+  let flag e loc =
+    match Tast_walk.head_path e with
+    | Some p -> (
+      match classify p with
+      | Callgraph.Ambient comps ->
+        diag diags "pool-escape" loc
+          "task submitted to Pool/Domain reads captured mutable state (%s); \
+           read it before the submission and pass the value, or guard with \
+           Atomic/Mutex"
+          (dotted comps)
+      | _ -> ())
+    | None -> ()
+  in
+  let expr self e =
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+      let comps = Tast_walk.components st p in
+      if not (Tast_walk.synchronized comps) then begin
+        (match (comps, args) with
+        | [ "Stdlib"; "!" ], [ (_, Some r) ] -> flag r e.exp_loc
+        | _ -> ());
+        Tast_iterator.default_iterator.expr self e
+      end
+    | Texp_field (obj, _, { Types.lbl_mut = Asttypes.Mutable; _ }) ->
+      flag obj e.exp_loc;
+      Tast_iterator.default_iterator.expr self e
+    | _ -> Tast_iterator.default_iterator.expr self e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it lit
 
 (* Facts of one task closure, classified against the closure's own bound
    set: anything not bound inside the literal is captured. *)
@@ -112,7 +149,8 @@ let check_closure graph st ~rng_on ~pool_on ~diags lit =
       rais = (fun _ ~in_try:_ -> ());
     }
   in
-  Callgraph.scan st ~classify ~ev lit
+  Callgraph.scan st ~classify ~ev lit;
+  if pool_on then check_reads st ~classify ~diags lit
 
 (* A task passed by name: judge it by its summary alone (its parameters are
    per-task values supplied by the pool, so only ambient facts matter). *)
@@ -138,9 +176,7 @@ let check graph st ~rules ~path structure =
   let enabled name =
     List.exists
       (fun r ->
-        String.equal r.Rules.name name
-        && (match r.Rules.tier with Rules.Syntactic -> false | _ -> true)
-        && r.Rules.applies path)
+        String.equal r.Rules.name name && r.Rules.applies path)
       rules
   in
   let rng_on = enabled "rng-flow" in

@@ -3,9 +3,10 @@
 
     For every [Pool.map]/[map_array]/[rounds]/[Domain.spawn] application,
     each task argument (function literal or named top-level function) is
-    checked for captured [Rng.t] handles, transitive ambient RNG draws, and
+    checked for captured [Rng.t] handles, transitive ambient RNG draws,
     mutation of captured/ambient state — directly or through summarized
-    callees.  Per-lane patterns (task-parameter handles, values selected
+    callees — and reads of a captured ref or mutable field in the task
+    body.  Per-lane patterns (task-parameter handles, values selected
     through the task argument, locals) pass; [Atomic]/[Mutex] are exempt. *)
 
 val check :

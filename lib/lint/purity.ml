@@ -147,9 +147,7 @@ let certify graph ~unit_prefixes (root : Callgraph.summary) =
 let rule_enabled rules ~path =
   List.exists
     (fun r ->
-      String.equal r.Rules.name "decider-purity"
-      && (match r.Rules.tier with Rules.Syntactic -> false | _ -> true)
-      && r.Rules.applies path)
+      String.equal r.Rules.name "decider-purity" && r.Rules.applies path)
     rules
 
 let check graph ~rules ~units =

@@ -1,36 +1,22 @@
 (** The slp-lint rule registry.
 
     Each rule carries its name (used in diagnostics, [--rules] selections,
-    suppression comments and the allowlist), a one-line rationale, the
-    analysis tier(s) that implement it, and the path scope it applies to.
-    Scopes take normalized repo-relative paths ("lib/sim/engine.ml"). *)
-
-type tier =
-  | Syntactic  (** parsetree pass only (zero-setup heuristic) *)
-  | Typed  (** typedtree pass only (needs .cmt files or in-process typing) *)
-  | Both  (** both tiers; the typed pass kills alias-evasion false negatives *)
+    suppression comments and the allowlist), a one-line rationale, and the
+    path scope it applies to.  Scopes take normalized repo-relative paths
+    ("lib/sim/engine.ml"). *)
 
 type t = {
   name : string;
   summary : string;
-  tier : tier;
   applies : string -> bool;
 }
 
 val all : t list
-(** Every rule, in reporting order: [random-stdlib], [wall-clock],
-    [hashtbl-order], [domain-capture], [poly-compare], [poly-eq],
-    [hot-path-hashtbl], [unstable-digest], [no-print], and the typed-only
+(** Every rule, in reporting order: the per-file rules [random-stdlib],
+    [wall-clock], [hashtbl-order], [poly-compare], [poly-eq],
+    [hot-path-hashtbl], [unstable-digest], [no-print], then the
     interprocedural analyses [rng-flow], [pool-escape], [decider-purity]. *)
 
 val names : string list
 
 val find : string -> t option
-
-val syntactic : t list -> t list
-(** Rules the syntactic (parsetree) tier runs: tier [Syntactic] or [Both]. *)
-
-val typed : t list -> t list
-(** Rules the typed (typedtree) tier runs: tier [Typed] or [Both]. *)
-
-val tier_name : tier -> string

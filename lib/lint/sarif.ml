@@ -7,9 +7,8 @@ let q = Diagnostic.json_string
 
 let rule_descriptor (r : Rules.t) =
   Printf.sprintf
-    "{\"id\":%s,\"shortDescription\":{\"text\":%s},\"properties\":{\"tier\":%s}}"
+    "{\"id\":%s,\"shortDescription\":{\"text\":%s}}"
     (q r.Rules.name) (q r.Rules.summary)
-    (q (Rules.tier_name r.Rules.tier))
 
 let result (d : Diagnostic.t) =
   Printf.sprintf

@@ -1,13 +1,12 @@
-(* Typedtree-side utilities shared by the typed tier.
+(* Typedtree-side utilities shared by every slp-lint rule.
 
    The central currency is the {e resolved component list} of a path:
    [Stdlib.Random.int] and [R.int] after [module R = Random] both resolve
    to [["Stdlib"; "Random"; "int"]], and dune's wrapped-library mangling
    ([Slpdas_util__Rng]) is unsplit to [["Slpdas_util"; "Rng"]] so unit keys
    and cross-unit references converge on one spelling.  Everything the
-   typed rules and the interprocedural analyses match on goes through this
-   normalization, which is what kills the alias-evasion false negatives of
-   the parsetree tier. *)
+   rules and the interprocedural analyses match on goes through this
+   normalization, so a module alias cannot hide a banned entry point. *)
 
 open Typedtree
 
@@ -205,7 +204,7 @@ let synchronized comps =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Typed re-implementations of the per-file rules                     *)
+(* Per-file rules over resolved paths                                 *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = {
@@ -232,6 +231,13 @@ let check_ident ctx p loc =
            v)
     | _ -> ())
   | Some tail -> (
+    (* Hashtbl.hash breaks two rules at once; the match below reports only
+       its first matching case, so poly-compare is checked on its own. *)
+    (match tail with
+    | [ "Hashtbl"; "hash" ] when on ctx "poly-compare" ->
+      add ctx "poly-compare" loc
+        "polymorphic Hashtbl.hash; hash the packed integer key instead"
+    | _ -> ());
     match tail with
     | "Random" :: rest when on ctx "random-stdlib" ->
       let v = match rest with v :: _ -> v | [] -> "" in
@@ -259,9 +265,6 @@ let check_ident ctx p loc =
       add ctx "poly-compare" loc
         "polymorphic compare (resolved to Stdlib.compare); use Int.compare \
          / Float.compare / String.compare or a Slpdas_util.Order comparator"
-    | [ "Hashtbl"; "hash" ] when on ctx "poly-compare" ->
-      add ctx "poly-compare" loc
-        "polymorphic Hashtbl.hash; hash the packed integer key instead"
     | [ "Hashtbl"; (("hash" | "seeded_hash" | "hash_param") as v) ]
       when on ctx "unstable-digest" ->
       add ctx "unstable-digest" loc
@@ -335,11 +338,10 @@ let check_poly_eq ctx f args loc =
   | _ -> ()
 
 let check st ~rules ~path structure =
-  let typed_rules = Rules.typed rules in
   let active = Hashtbl.create 8 in
   List.iter
     (fun r -> if r.Rules.applies path then Hashtbl.replace active r.Rules.name ())
-    typed_rules;
+    rules;
   if Hashtbl.length active = 0 then []
   else begin
     let ctx = { st; active; diags = ref [] } in

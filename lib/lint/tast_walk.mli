@@ -1,11 +1,10 @@
-(** Typedtree-side path resolution and the typed re-implementations of the
-    per-file rules.
+(** Typedtree-side path resolution and the per-file rules.
 
-    The typed tier's currency is the {e resolved component list} of a path:
+    The linter's currency is the {e resolved component list} of a path:
     [R.int] after [module R = Random] resolves to
     [["Stdlib"; "Random"; "int"]], and dune's [A__B] unit mangling is
     unsplit so cross-unit references and unit names converge on one
-    spelling.  All typed rules and the interprocedural analyses match on
+    spelling.  All rules and the interprocedural analyses match on
     these lists, which is what kills alias evasion. *)
 
 type state
@@ -58,8 +57,7 @@ val check :
   path:string ->
   Typedtree.structure ->
   Diagnostic.t list
-(** Run the typed per-file rules (resolved-path re-implementations of
-    [random-stdlib], [wall-clock], [hashtbl-order], [unstable-digest],
-    [hot-path-hashtbl], [no-print], [poly-compare] and the type-directed
-    [poly-eq]) over one unit.  Interprocedural rules live in {!Flows} and
+(** Run the per-file rules ([random-stdlib], [wall-clock],
+    [hashtbl-order], [unstable-digest], [hot-path-hashtbl], [no-print],
+    [poly-compare] and the type-directed [poly-eq]) over one unit.  Interprocedural rules live in {!Flows} and
     {!Purity}. *)

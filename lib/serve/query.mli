@@ -19,11 +19,10 @@
     returns must be transitively free of mutation of captured state, I/O,
     RNG draws and escaping exceptions — an impure decider would poison
     every cache (in-memory or on-disk) its answers touch.  This is not
-    left to review: the [decider-purity] lint rule (typed tier,
-    [make lint-typed]) walks the project call graph from [decide_fn] and
-    fails the build if any registered decider or anything it reaches
-    violates the contract.  When adding a decider, register it here and
-    run [make lint-typed] over the whole tree so the certification can
+    left to review: the [decider-purity] lint rule ([make lint]) walks
+    the project call graph from [decide_fn] and fails the build if any
+    registered decider or anything it reaches violates the contract.  When adding a decider, register it here and
+    run [make lint] over the whole tree so the certification can
     see every unit the new decider calls into. *)
 
 type decider =

@@ -18,7 +18,6 @@ type plan = {
   cells : cell array;
   cut_arcs : int;
   cut_links : int;
-  cut_edges : int;
   cell_of_node : int array;
   local_index : int array;
 }
@@ -122,42 +121,6 @@ let plan ~cells_x ~cells_y (base : Topology.t) =
       nodes;
     let graph = Graph.of_csr ~n:cn ~offsets ~targets in
     let cell_positions = Array.map (fun v -> positions.(v)) nodes in
-    (* Source/sink of the sub-deployment: keep the base's when it lives
-       here; otherwise first node as source, centroid-closest as sink. *)
-    let local_of_global v = local_of.(v) in
-    let source =
-      if
-        base.Topology.source < n
-        && bin_of_node.(base.Topology.source) = bin_of_node.(nodes.(0))
-      then local_of_global base.Topology.source
-      else 0
-    in
-    let sink =
-      if
-        base.Topology.sink < n
-        && bin_of_node.(base.Topology.sink) = bin_of_node.(nodes.(0))
-      then local_of_global base.Topology.sink
-      else begin
-        let cx = ref 0.0 and cy = ref 0.0 in
-        Array.iter
-          (fun (x, y) ->
-            cx := !cx +. x;
-            cy := !cy +. y)
-          cell_positions;
-        let cn_f = float_of_int cn in
-        let cx = !cx /. cn_f and cy = !cy /. cn_f in
-        let best = ref 0 and best_d = ref infinity in
-        Array.iteri
-          (fun i (x, y) ->
-            let d = ((x -. cx) ** 2.0) +. ((y -. cy) ** 2.0) in
-            if d < !best_d then begin
-              best := i;
-              best_d := d
-            end)
-          cell_positions;
-        !best
-      end
-    in
     {
       id = next_id;
       nodes;
@@ -166,8 +129,9 @@ let plan ~cells_x ~cells_y (base : Topology.t) =
           Topology.name = Printf.sprintf "%s/cell-%d" base.Topology.name next_id;
           graph;
           positions = cell_positions;
-          source;
-          sink;
+          (* Placeholders: the engine reads only the graph and positions. *)
+          source = 0;
+          sink = 0;
         };
       ports_off;
       ports_pos;
@@ -196,49 +160,12 @@ let plan ~cells_x ~cells_y (base : Topology.t) =
     cells = Array.of_list (List.rev !cells);
     cut_arcs = !cut_arcs;
     cut_links = !cut_links;
-    cut_edges = !cut_links;
     cell_of_node;
     local_index = local_of;
   }
 
 let boundary_nodes plan =
   Array.fold_left (fun acc c -> acc + c.boundary_nodes) 0 plan.cells
-
-let run ?domains ?airtime plan ~link ~seed ~program ~until =
-  (* Per-cell RNG streams are split off in cell order, before any fan-out,
-     so they do not depend on the pool size or on scheduling. *)
-  let master = Slpdas_util.Rng.create seed in
-  let jobs =
-    Array.to_list
-      (Array.map (fun cell -> (cell, Slpdas_util.Rng.split master)) plan.cells)
-  in
-  let per_cell =
-    Slpdas_util.Pool.with_pool ?domains (fun pool ->
-        Slpdas_util.Pool.map pool
-          (fun (cell, rng) ->
-            let e =
-              Engine.create ?airtime ~topology:cell.topology ~link ~rng
-                ~program:(fun ~self -> program ~cell ~self)
-                ()
-            in
-            Engine.run_until e until;
-            Engine.counters e)
-          jobs)
-  in
-  (Array.of_list per_cell, Event.merge_all per_cell)
-
-let counters_json per_cell merged =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"merged\": ";
-  Buffer.add_string buf (Event.to_json merged);
-  Buffer.add_string buf ", \"cells\": [";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Event.to_json c))
-    per_cell;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Coupled runs: conservative lookahead windows over cut edges        *)

@@ -1,4 +1,5 @@
-(** Spatial sharding: run regions of a deployment in parallel.
+(** Spatial sharding: run one deployment as radio-coupled cells in
+    parallel.
 
     A {!plan} partitions a topology's nodes into a [cells_x × cells_y] grid
     of spatial cells by node position and materialises each cell as an
@@ -7,20 +8,14 @@
     cell keeps, per node, the cut neighbours' global ids and their positions
     inside the node's full global adjacency row.
 
-    Two execution modes share the plan:
+    {!run_coupled} keeps the cells radio-coupled over the cut links and
+    runs them as a conservative parallel discrete-event simulation: bounded
+    lookahead windows of width {!Engine.propagation_delay} (the uniform
+    link latency, hence the classic null-message-free conservative
+    horizon), with boundary deliveries exchanged at window barriers through
+    per-cell-pair deterministic mailboxes ({!Mailbox}).
 
-    {ul
-    {- {!run} — the original radio-isolated mode: cut links are ignored and
-       each cell runs as an independent deployment.  Fast, but cross-cell
-       phenomena are absent.}
-    {- {!run_coupled} — cells stay radio-coupled over the cut links and run
-       as a conservative parallel discrete-event simulation: bounded
-       lookahead windows of width {!Engine.propagation_delay} (the uniform
-       link latency, hence the classic null-message-free conservative
-       horizon), with boundary deliveries exchanged at window barriers
-       through per-cell-pair deterministic mailboxes ({!Mailbox}).}}
-
-    Determinism contract of the coupled mode: a coupled run is
+    Determinism contract: a coupled run is
     {e byte-identical} — counters, per-node states, event streams, capture
     outcomes, JSON — to the unsharded sequential engine built by
     {!sequential_engine} over the base deployment, at any cell count and any
@@ -39,7 +34,9 @@ type cell = {
   nodes : int array;  (** member nodes as {e global} ids, ascending *)
   topology : Slpdas_wsn.Topology.t;
       (** induced sub-deployment over local ids [0 .. Array.length nodes - 1];
-          local id [i] is global node [nodes.(i)] *)
+          local id [i] is global node [nodes.(i)].  Its [source] and [sink]
+          are placeholders (local node 0): a cell is not a deployment of
+          its own, and the engine reads only the graph and positions. *)
   ports_off : int array;
       (** CSR offsets (length [n_local + 1]) into the flat port rows: node
           [v]'s cut edges are ports [ports_off.(v) .. ports_off.(v+1) - 1] *)
@@ -60,8 +57,6 @@ type plan = {
       (** directed arcs crossing a cell border (each radio link crossing a
           border contributes two) *)
   cut_links : int;  (** radio links crossing a cell border *)
-  cut_edges : int;
-      (** deprecated alias of [cut_links], kept for existing callers *)
   cell_of_node : int array;
       (** global node id -> index into [cells] of its hosting cell *)
   local_index : int array;  (** global node id -> local id within its cell *)
@@ -72,36 +67,11 @@ val plan : cells_x:int -> cells_y:int -> Slpdas_wsn.Topology.t -> plan
     equal spatial cells over the bounding box of the node positions and
     builds each cell's induced sub-topology and boundary ports via the CSR
     bulk path (O(n + m) total).  Within a cell, nodes keep their relative
-    (ascending global id) order, so local adjacency stays sorted.  A cell
-    containing the base source/sink keeps it; otherwise the cell's source is
-    its first node and its sink the node closest to the cell's centroid
-    (ties to the lower id).
+    (ascending global id) order, so local adjacency stays sorted.
     @raise Invalid_argument if [cells_x < 1] or [cells_y < 1]. *)
 
 val boundary_nodes : plan -> int
 (** Total nodes with at least one cut edge, over all cells. *)
-
-val run :
-  ?domains:int ->
-  ?airtime:float ->
-  plan ->
-  link:Link_model.t ->
-  seed:int ->
-  program:(cell:cell -> self:int -> ('s, 'm) Slpdas_gcn.program) ->
-  until:float ->
-  Event.counters array * Event.counters
-(** [run plan ~link ~seed ~program ~until] creates one engine per cell
-    ([program ~cell ~self] with {e local} [self]), runs each to [until] on
-    the domain pool {e ignoring cut links}, and returns the per-cell
-    counters (cell order) plus their input-order merge.  Per-cell RNGs are
-    split off [Rng.create seed] in cell order before fan-out, so results are
-    independent of [domains].  [domains] defaults to the pool's recommended
-    size. *)
-
-val counters_json : Event.counters array -> Event.counters -> string
-(** Canonical JSON rendering of a sharded run's observables — the merged
-    counters plus each cell's — used by [make scale-smoke] to byte-compare
-    multi-domain against single-domain runs. *)
 
 val sequential_engine :
   topology:Slpdas_wsn.Topology.t ->

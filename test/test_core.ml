@@ -127,6 +127,34 @@ let test_check_weak_accepts_non_tree_forwarder () =
   Alcotest.(check bool) "strong fails" false (Das_check.is_strong g s);
   Alcotest.(check bool) "weak holds" true (Das_check.is_weak g s)
 
+(* [weak_at v] is the per-node view of [check_weak]: it holds exactly when
+   no violation names [v].  Random partial schedules on a 4x4 grid, slots
+   from a narrow range so collisions and missing forwarders are common. *)
+let prop_weak_at_matches_check_weak =
+  QCheck.Test.make ~count:200 ~name:"weak_at v iff no check_weak violation names v"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let topo = Topology.grid 4 in
+      let g = topo.Topology.graph in
+      let n = Graph.n g in
+      let rng = Rng.create seed in
+      let s = Schedule.create ~n ~sink:topo.Topology.sink in
+      for v = 0 to n - 1 do
+        if v <> topo.Topology.sink && Rng.int rng 8 > 0 then
+          Schedule.assign s v (Rng.int rng 6)
+      done;
+      let violations = Das_check.check_weak g s in
+      let named v = function
+        | Das_check.Unassigned u | Das_check.No_forwarder { node = u } -> u = v
+        | Das_check.Collision { a; b; _ } -> a = v || b = v
+        | Das_check.Early_parent _ -> false
+      in
+      List.for_all
+        (fun v ->
+          Bool.equal (Das_check.weak_at g s v)
+            (not (List.exists (named v) violations)))
+        (List.init n Fun.id))
+
 let test_check_sink_neighbour_weak () =
   (* A node adjacent to the sink always has a forwarder (m = sink). *)
   let s = Schedule.of_alist ~n:3 ~sink:2 [ (0, 1); (1, 0) ] in
@@ -1040,6 +1068,8 @@ let () =
           Alcotest.test_case "weak non-tree forwarder" `Quick
             test_check_weak_accepts_non_tree_forwarder;
           Alcotest.test_case "sink is a forwarder" `Quick test_check_sink_neighbour_weak;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4 |])
+            prop_weak_at_matches_check_weak;
         ] );
       ( "das-build",
         [

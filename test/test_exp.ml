@@ -254,6 +254,40 @@ let test_simulated_summary_runs () =
   Alcotest.(check bool) "setup messages recorded" true
     (s.Capture.mean_setup_messages > 0.0)
 
+(* SLP refinement must leave a weak DAS (Def. 3) on irregular
+   deployments too.  Seed 9034 on this 441-node unit disk used to leave a
+   pinned decoy with every neighbour transmitting earlier. *)
+let slp_weak_das ~topology ~seeds =
+  let s =
+    Capture.centralized ~topology ~mode:Protocol.Slp ~params:Params.default
+      ~attacker:(fun ~start -> Attacker.canonical ~start)
+      ~seeds ()
+  in
+  List.for_all (fun d -> d.Capture.weak_das) s.Capture.details
+
+let test_centralized_slp_weak_on_unit_disk () =
+  match
+    Topology.random_unit_disk (Slpdas_util.Rng.create 71322) ~n:441
+      ~side:100.0 ~range:8.4 ~max_attempts:1000
+  with
+  | None -> Alcotest.fail "no connected placement"
+  | Some topology ->
+    Alcotest.(check bool) "seed 9034 refines to a weak DAS" true
+      (slp_weak_das ~topology ~seeds:[ 9034 ])
+
+let prop_centralized_slp_weak_on_unit_disk =
+  QCheck.Test.make ~count:60 ~name:"SLP refinement keeps a weak DAS on unit disks"
+    QCheck.(pair (int_bound 100_000) (int_range 40 160))
+    (fun (seed, n) ->
+      let side = 5.0 *. sqrt (float_of_int n) in
+      match
+        Topology.random_unit_disk (Slpdas_util.Rng.create seed) ~n ~side
+          ~range:8.4 ~max_attempts:200
+      with
+      | None -> QCheck.assume_fail ()
+      | Some topology ->
+        slp_weak_das ~topology ~seeds:[ seed; seed + 1; seed + 2 ])
+
 let () =
   Alcotest.run "exp"
     [
@@ -278,6 +312,11 @@ let () =
             test_centralized_capture_periods_bounded;
           Alcotest.test_case "slp halves captures (gap=2)" `Slow
             test_centralized_slp_reduces_capture;
+          Alcotest.test_case "slp weak DAS on a unit disk" `Quick
+            test_centralized_slp_weak_on_unit_disk;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20170611 |])
+            prop_centralized_slp_weak_on_unit_disk;
         ] );
       ( "runner",
         [

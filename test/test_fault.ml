@@ -146,6 +146,29 @@ let test_compile_rejects () =
         (fun () -> ignore (Fault_plan.compile ~topology ~seed:1 plan)))
     [ "crash@1:node=12" (* grid-5 sink *); "crash@1:node=99" ]
 
+(* The chaos CLI checks a user's plan with [validate] before any run, so a
+   plan that parses but does not fit the deployment is a usage error (exit
+   2), not an uncaught exception. *)
+let test_validate () =
+  let topology = Topology.grid 5 in
+  let reason text =
+    match Fault_plan.validate ~topology (parse_ok text) with
+    | Ok () -> "ok"
+    | Error e -> e
+  in
+  Alcotest.(check string) "node past the deployment"
+    "crash node 9999 out of range" (reason "crash@500:node=9999");
+  Alcotest.(check string) "the sink" "cannot crash the sink"
+    (reason "crash@500:node=12");
+  Alcotest.(check string) "link endpoint" "degrade node 25 out of range"
+    (reason "degrade@5:3-25,0.5");
+  Alcotest.(check string) "negative time"
+    "time -1 is not a non-negative number" (reason "crash@-1:node=3");
+  Alcotest.(check string) "negative k" "crash target k=-2 is negative"
+    (reason "crash@1:k=-2");
+  Alcotest.(check string) "a fitting plan" "ok"
+    (reason "crash@500:node=9;revive@600:all;burst@700:0.3,25")
+
 (* ------------------------------------------------------------------ *)
 (* Alive-restricted checking                                          *)
 (* ------------------------------------------------------------------ *)
@@ -434,6 +457,8 @@ let () =
           Alcotest.test_case "region" `Quick test_compile_region;
           Alcotest.test_case "burst + links" `Quick test_compile_burst_and_links;
           Alcotest.test_case "rejects" `Quick test_compile_rejects;
+          Alcotest.test_case "validate against the deployment" `Quick
+            test_validate;
         ] );
       ( "resilience",
         [

@@ -1,7 +1,8 @@
 (* Tests for slp-lint: each rule fires on a minimal fixture, each
    suppression mechanism silences it, scopes exempt the sanctioned sites,
    and — the meta-test — the real tree lints clean, so the pass that CI
-   runs is the pass these tests pin down. *)
+   runs is the pass these tests pin down.  Fixtures are typed in-process;
+   the tree is read from the .cmt files of the build. *)
 
 module Driver = Slpdas_lint.Driver
 module Rules = Slpdas_lint.Rules
@@ -11,8 +12,15 @@ module Reporter = Slpdas_lint.Reporter
 
 let config () = Driver.default_config ()
 
+(* Fixtures type against the stdlib plus Unix, so the wall-clock fixtures
+   can name Unix.gettimeofday. *)
+let unix_cmi_dir = Filename.concat Config.standard_library "unix"
+
+let check_source config ~path ~source =
+  Driver.check_source_typed ~cmi_dirs:[ unix_cmi_dir ] config ~path ~source
+
 let lint ?(path = "lib/sim/fixture.ml") source =
-  Driver.check_source (config ()) ~path ~source
+  check_source (config ()) ~path ~source
 
 let rules_of diags = List.map (fun d -> d.Diagnostic.rule) diags
 
@@ -50,11 +58,30 @@ let test_hashtbl_order () =
   check_fires "fold in lib/exp" "hashtbl-order"
     (lint ~path:"lib/exp/capture.ml" src);
   check_fires "iter in lib/exp" "hashtbl-order"
-    (lint ~path:"lib/exp/capture.ml" "let f h = Hashtbl.iter ignore h");
+    (lint ~path:"lib/exp/capture.ml"
+       "let f h = Hashtbl.iter (fun _ _ -> ()) h");
   check_clean "outside lib/exp the engine may fold"
     (lint ~path:"lib/sim/engine.ml" src)
 
-let test_domain_capture () =
+(* Self-contained stand-ins for the project's Pool and Rng; the analyses
+   match Pool.map / Rng.t on resolved path tails, so local modules with
+   the same names exercise the same code paths without needing cmi files
+   for the real libraries. *)
+let pool_stub =
+  "module Pool = struct\n\
+  \  let map _p f xs = List.map f xs\n\
+  \  let rounds _p f xs = List.iter f xs\n\
+   end\n"
+
+let rng_stub =
+  "module Rng = struct\n\
+  \  type t = { mutable s : int }\n\
+  \  let create seed = { s = seed }\n\
+  \  let split r n = Array.init n (fun i -> { s = r.s + i })\n\
+  \  let int r n = r.s <- r.s + 1; r.s mod (max n 1)\n\
+   end\n"
+
+let test_pool_escape () =
   let flagged =
     [
       ( "ref write",
@@ -71,7 +98,11 @@ let test_domain_capture () =
         \  Pool.map pool (fun x -> Buffer.add_string b (string_of_int x)) xs"
       );
       ( "mutable field",
-        "let f pool xs t = Pool.map pool (fun x -> t.count <- x) xs" );
+        "type t = { mutable count : int }\n\
+         let f pool xs t = Pool.map pool (fun x -> t.count <- x) xs" );
+      ( "mutable field read",
+        "type t = { mutable count : int }\n\
+         let f pool xs t = Pool.map pool (fun x -> x + t.count) xs" );
       ( "domain spawn",
         "let f r = Domain.spawn (fun () -> r := 1)" );
       ( "rounds task",
@@ -79,20 +110,28 @@ let test_domain_capture () =
     ]
   in
   List.iter
-    (fun (name, src) -> check_fires name "domain-capture" (lint src))
+    (fun (name, src) -> check_fires name "pool-escape" (lint (pool_stub ^ src)))
     flagged;
   check_clean "closure-local state is fine"
     (lint
-       "let f pool xs =\n\
-        Pool.map pool (fun x -> let acc = ref 0 in acc := x; !acc) xs");
+       (pool_stub
+      ^ "let f pool xs =\n\
+         Pool.map pool (fun x -> let acc = ref 0 in acc := x; !acc) xs"));
   check_clean "atomics are sanctioned"
-    (lint "let f pool xs a = Pool.map pool (fun _ -> Atomic.incr a) xs");
+    (lint
+       (pool_stub ^ "let f pool xs a = Pool.map pool (fun _ -> Atomic.incr a) xs"));
   check_clean "mutex-protected regions are sanctioned"
     (lint
-       "let f pool xs m r =\n\
-        Pool.map pool (fun x -> Mutex.protect m (fun () -> r := x)) xs");
+       (pool_stub
+      ^ "let f pool xs m r =\n\
+         Pool.map pool (fun x -> Mutex.protect m (fun () -> r := x)) xs"));
+  check_clean "immutable captures are fine"
+    (lint
+       (pool_stub
+      ^ "type t = { size : int }\n\
+         let f pool xs t = Pool.map pool (fun x -> x + t.size) xs"));
   check_clean "pure tasks are fine"
-    (lint "let f pool make xs = Pool.map pool (fun c -> make c) xs")
+    (lint (pool_stub ^ "let f pool make xs = Pool.map pool (fun c -> make c) xs"))
 
 let test_poly_compare () =
   check_fires "List.sort compare" "poly-compare"
@@ -166,7 +205,7 @@ let test_unstable_digest () =
   in
   let config = { (config ()) with Driver.allowlist } in
   check_clean "allowlisted file is exempt"
-    (Driver.check_source config ~path:"lib/serve/fixture.ml"
+    (check_source config ~path:"lib/serve/fixture.ml"
        ~source:"let key x = Hashtbl.hash x")
 
 let test_no_print () =
@@ -218,10 +257,10 @@ let test_allowlist () =
   Alcotest.(check (list string))
     "allowlisted file is exempt" []
     (rules_of
-       (Driver.check_source config ~path:"lib/sim/fixture.ml"
+       (check_source config ~path:"lib/sim/fixture.ml"
           ~source:"let x = Random.int 10"));
   check_fires "other files still flagged" "random-stdlib"
-    (Driver.check_source config ~path:"lib/sim/other.ml"
+    (check_source config ~path:"lib/sim/other.ml"
        ~source:"let x = Random.int 10");
   (match Suppress.parse_allowlist "lib/sim/x.ml\n" with
   | Ok _ -> Alcotest.fail "malformed allowlist accepted"
@@ -238,8 +277,7 @@ let test_rule_toggle () =
   Alcotest.(check (list string))
     "only wall-clock selected" [ "wall-clock" ]
     (rules_of
-       (Driver.check_source (only "wall-clock") ~path:"lib/sim/fixture.ml"
-          ~source))
+       (check_source (only "wall-clock") ~path:"lib/sim/fixture.ml" ~source))
 
 let test_diagnostics_positioned () =
   match lint "let a = 1\nlet x = Random.int 10" with
@@ -253,7 +291,13 @@ let test_diagnostics_positioned () =
     Alcotest.failf "expected exactly one diagnostic, got %d" (List.length ds)
 
 let test_parse_error_is_diagnosed () =
-  check_fires "unparsable file" "parse" (lint "let let let")
+  match lint "let a = 1\nlet let let" with
+  | [ d ] ->
+    Alcotest.(check string) "rule" "typed-load" d.Diagnostic.rule;
+    Alcotest.(check int) "line of the syntax error" 2 d.Diagnostic.line
+  | ds ->
+    Alcotest.failf "expected one typed-load diagnostic, got %d"
+      (List.length ds)
 
 let test_json_reporter () =
   let buf = Buffer.create 256 in
@@ -304,52 +348,44 @@ let test_suppression_edge_cases () =
   in
   let config = { (config ()) with Driver.allowlist } in
   check_clean "./-prefixed allowlist path matches"
-    (Driver.check_source config ~path:"lib/sim/fixture.ml"
+    (check_source config ~path:"lib/sim/fixture.ml"
        ~source:"let x = Random.int 10");
   check_clean "./-prefixed scanned path matches a plain entry"
-    (Driver.check_source config ~path:"./lib/sim/fixture.ml"
+    (check_source config ~path:"./lib/sim/fixture.ml"
        ~source:"let x = Random.int 10")
 
 (* ------------------------------------------------------------------ *)
-(* Typed tier: alias-proof per-file rules                             *)
+(* Typed paths: alias-proof per-file rules                            *)
 (* ------------------------------------------------------------------ *)
 
-let tlint ?(path = "lib/sim/fixture.ml") source =
-  Driver.check_source_typed (config ()) ~path ~source
-
 let test_typed_resolves_aliases () =
-  (* The acceptance fixture: a module alias hides stdlib Random from the
-     syntactic tier; the typed tier resolves it. *)
+  (* A module alias cannot hide stdlib Random: paths are resolved. *)
   let src = "module R = Random\nlet x = R.int 10" in
-  check_clean "syntactic tier is blind to the alias" (lint src);
-  check_fires "typed tier resolves the alias" "random-stdlib" (tlint src);
+  check_fires "resolves the alias" "random-stdlib" (lint src);
   (* Same story for a Hashtbl alias in an ordering-sensitive layer. *)
   let src = "module H = Hashtbl\nlet f h = H.iter (fun _ _ -> ()) h" in
-  check_clean "syntactic tier is blind to the Hashtbl alias"
+  check_fires "resolves the Hashtbl alias" "hashtbl-order"
     (lint ~path:"lib/serve/fixture.ml" src);
-  check_fires "typed tier resolves the Hashtbl alias" "hashtbl-order"
-    (tlint ~path:"lib/serve/fixture.ml" src);
-  (* Direct spellings still fire on the typed tier. *)
-  check_fires "typed tier flags the direct spelling" "random-stdlib"
-    (tlint "let x = Stdlib.Random.bits ()");
-  check_fires "typed wall-clock" "wall-clock" (tlint "let t = Sys.time ()");
+  (* Direct spellings still fire. *)
+  check_fires "flags the direct spelling" "random-stdlib"
+    (lint "let x = Stdlib.Random.bits ()");
+  check_fires "typed wall-clock" "wall-clock" (lint "let t = Sys.time ()");
   (* And inline suppression applies to typed findings too. *)
   check_clean "typed finding suppressed inline"
-    (tlint
+    (lint
        "module R = Random\n\
         (* slp-lint: allow random-stdlib *)\n\
         let x = R.int 10")
 
 let test_typed_poly_eq_on_types () =
-  (* Type-directed: the syntactic tier needs a literal Some/None/tuple at
-     the comparison; the typed tier sees through bindings. *)
+  (* Type-directed: no literal Some/None/tuple is needed at the
+     comparison, the type sees through bindings. *)
   let src = "let n = None\nlet f x = x = n" in
-  check_clean "syntactic tier misses the bound option" (lint src);
-  check_fires "typed tier resolves the option type" "poly-eq" (tlint src);
-  check_clean "typed: int equality is immediate" (tlint "let f x = x = 3")
+  check_fires "resolves the option type" "poly-eq" (lint src);
+  check_clean "typed: int equality is immediate" (lint "let f x = x = 3")
 
 let test_typed_load_failure () =
-  match tlint "let let let" with
+  match lint "let x = 1 + \"one\"" with
   | [ d ] ->
     Alcotest.(check string) "rule" "typed-load" d.Diagnostic.rule
   | ds ->
@@ -357,61 +393,45 @@ let test_typed_load_failure () =
       (List.length ds)
 
 (* ------------------------------------------------------------------ *)
-(* Typed tier: interprocedural flows                                  *)
+(* Interprocedural flows                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Self-contained stand-ins for the project's Pool and Rng; the analyses
-   match Pool.map / Rng.t on resolved path tails, so local modules with
-   the same names exercise the same code paths without needing cmi files
-   for the real libraries. *)
-let pool_stub = "module Pool = struct let map _p f xs = List.map f xs end\n"
-
-let rng_stub =
-  "module Rng = struct\n\
-  \  type t = { mutable s : int }\n\
-  \  let create seed = { s = seed }\n\
-  \  let split r n = Array.init n (fun i -> { s = r.s + i })\n\
-  \  let int r n = r.s <- r.s + 1; r.s mod (max n 1)\n\
-   end\n"
-
 let test_pool_escape_smuggled_ref () =
-  (* The acceptance fixture: a top-level helper mutates its argument, and
-     the task closure hands it a captured ref.  No mutation syntax appears
-     inside the closure, so the syntactic tier is blind. *)
+  (* A top-level helper mutates its argument, and the task closure hands
+     it a captured ref: no mutation syntax appears inside the closure. *)
   let src =
     pool_stub
     ^ "let counter = ref 0\n\
        let bump r = r := !r + 1\n\
        let go pool xs = Pool.map pool (fun _ -> bump counter) xs"
   in
-  check_clean "syntactic tier misses the smuggled ref" (lint src);
-  check_fires "typed tier tracks the ref through the helper" "pool-escape"
-    (tlint src)
+  check_fires "tracks the ref through the helper" "pool-escape"
+    (lint src)
 
 let test_pool_escape_direct_and_exempt () =
   check_fires "direct captured-ref mutation" "pool-escape"
-    (tlint
+    (lint
        (pool_stub
       ^ "let go pool xs =\n\
         \  let hits = ref 0 in\n\
         \  Pool.map pool (fun x -> hits := x) xs"));
   check_fires "ambient mutation through a named task" "pool-escape"
-    (tlint
+    (lint
        (pool_stub
       ^ "let total = ref 0\n\
          let task x = total := !total + x\n\
          let go pool xs = Pool.map pool task xs"));
   check_clean "task-local state is fine"
-    (tlint
+    (lint
        (pool_stub
       ^ "let go pool xs =\n\
         \  Pool.map pool (fun x -> let acc = ref 0 in acc := x; !acc) xs"));
   check_clean "atomics are sanctioned on typed paths"
-    (tlint
+    (lint
        (pool_stub
       ^ "let go pool a xs = Pool.map pool (fun _ -> Atomic.incr a) xs"));
   check_clean "per-task values selected through the argument are sanctioned"
-    (tlint
+    (lint
        (pool_stub
       ^ "let go pool (bufs : Buffer.t array) xs =\n\
         \  Pool.map pool (fun i -> Buffer.add_char bufs.(i) 'x') xs"))
@@ -421,27 +441,26 @@ let test_rng_flow () =
     pool_stub ^ rng_stub
     ^ "let go pool rng xs = Pool.map pool (fun x -> Rng.int rng x) xs"
   in
-  check_clean "syntactic tier has no rng-flow" (lint shared);
-  check_fires "captured shared handle" "rng-flow" (tlint shared);
+  check_fires "captured shared handle" "rng-flow" (lint shared);
   check_fires "ambient draw through a helper" "rng-flow"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "let shared = Rng.create 42\n\
          let draw n = Rng.int shared n\n\
          let go pool xs = Pool.map pool (fun x -> draw x) xs"));
   check_clean "per-lane handles through the task argument"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "let go pool rng xs =\n\
         \  let lanes = Rng.split rng (List.length xs) in\n\
         \  Pool.map pool (fun i -> Rng.int lanes.(i) i) xs"));
   check_clean "handle bound by the task parameter"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "let go pool pairs = Pool.map pool (fun (rng, x) -> Rng.int rng x) \
          pairs"));
   check_clean "task-local generator"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "let go pool xs =\n\
         \  Pool.map pool (fun seed -> Rng.int (Rng.create seed) 10) xs"))
@@ -450,21 +469,20 @@ let test_rng_flow_record_param () =
   (* The acceptance fixture: a Monte-Carlo-style trial helper draws through
      a record parameter's Rng.t field, and the Pool closure hands it a
      captured record.  No Rng.t-typed ident crosses the closure boundary,
-     so the syntactic tier (and the plain captured-ident typed check) are
-     both blind; only the draws-through parameter summary sees it. *)
+     so the plain captured-ident check is blind; only the draws-through
+     parameter summary sees it. *)
   let wrapped =
     pool_stub ^ rng_stub
     ^ "type cfg = { rng : Rng.t; budget : int }\n\
        let trial c i = Rng.int c.rng (c.budget + i)\n\
        let go pool (c : cfg) xs = Pool.map pool (fun i -> trial c i) xs"
   in
-  check_clean "syntactic tier misses the wrapped handle" (lint wrapped);
-  check_fires "typed tier tracks the draw through the record param" "rng-flow"
-    (tlint wrapped);
+  check_fires "tracks the draw through the record param" "rng-flow"
+    (lint wrapped);
   (* Same helper, per-lane handles: each task builds its own record from a
      split lane, so nothing captured feeds the draws-through parameter. *)
   check_clean "per-lane records through Rng.split are sanctioned"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "type cfg = { rng : Rng.t; budget : int }\n\
          let trial c i = Rng.int c.rng (c.budget + i)\n\
@@ -474,14 +492,14 @@ let test_rng_flow_record_param () =
          xs"));
   (* Direct field draw from a captured record, no helper at all. *)
   check_fires "captured record field drawn directly" "rng-flow"
-    (tlint
+    (lint
        (pool_stub ^ rng_stub
       ^ "type cfg = { rng : Rng.t; budget : int }\n\
          let go pool (c : cfg) xs =\n\
         \  Pool.map pool (fun i -> Rng.int c.rng i) xs"))
 
 (* ------------------------------------------------------------------ *)
-(* Typed tier: decider purity                                         *)
+(* Decider purity                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let qlint source =
@@ -498,8 +516,6 @@ let test_decider_purity () =
      let lowest xs = hits := !hits + 1; List.fold_left min max_int xs\n\
      let decide_fn () = lowest"
   in
-  check_clean "syntactic tier cannot certify deciders"
-    (Driver.check_source (config ()) ~path:"lib/serve/query.ml" ~source:impure);
   check_fires "impure registered decider" "decider-purity" (qlint impure);
   check_fires "decider that may raise" "decider-purity"
     (qlint
@@ -583,6 +599,10 @@ let repo_roots () =
      source_tree deps on the real roots, which dune mirrors one level up. *)
   List.filter Sys.file_exists [ "../lib"; "../bin"; "../bench" ]
 
+(* The build tree (with every .cmt: the tests stanza depends on the @check
+   aliases of lib/, bin/ and bench/) is one level up. *)
+let cmt_root = ".."
+
 let test_tree_is_clean () =
   let roots = repo_roots () in
   if List.length roots < 3 then
@@ -593,10 +613,41 @@ let test_tree_is_clean () =
     | Error e -> Alcotest.fail e
   in
   let config = { (config ()) with Driver.allowlist } in
-  let diags = Driver.run config ~roots in
+  (* Every file must load from its .cmt: a typed-load report means a file
+     went unanalysed, which is a failure, not a skip. *)
+  let diags = Driver.run config ~cmt_root ~roots in
   Alcotest.(check (list string))
-    "zero unsuppressed diagnostics over lib/ bin/ bench/" []
+    "zero diagnostics over lib/ bin/ bench/" []
     (List.map Diagnostic.to_string diags)
+
+let test_typed_tree_is_clean () =
+  (* The tree-clean test above accepts files typed in-process as a
+     fallback; this one holds the typed tier to the build itself: every
+     source file under the roots has an implementation .cmt in the build
+     tree, and that .cmt loads back to the same source path. *)
+  let roots = repo_roots () in
+  if List.length roots < 3 then
+    Alcotest.fail "source tree not visible from the test sandbox";
+  let idx = Slpdas_lint.Cmt_loader.index ~cmt_root in
+  let files = Driver.files_under roots in
+  (match files with
+  | [] -> Alcotest.fail "no source files under lib/ bin/ bench/"
+  | _ :: _ -> ());
+  let problems =
+    List.filter_map
+      (fun f ->
+        let src = Driver.normalize f in
+        match Slpdas_lint.Cmt_loader.find idx src with
+        | None -> Some (src ^ ": no .cmt in the build tree")
+        | Some cmt -> (
+          match Slpdas_lint.Cmt_loader.load_cmt cmt with
+          | Error e -> Some (src ^ ": " ^ e)
+          | Ok u when not (String.equal u.Slpdas_lint.Cmt_loader.src src) ->
+            Some (src ^ ": .cmt records " ^ u.src)
+          | Ok _ -> None))
+      files
+  in
+  Alcotest.(check (list string)) "every file loads from its .cmt" [] problems
 
 let test_unknown_root_rejected () =
   (* Regression: a missing root used to be skipped silently, so a tree
@@ -609,54 +660,20 @@ let test_unknown_root_rejected () =
   | exception Driver.Unknown_root _ -> ()
   | _ -> Alcotest.fail "bad root hidden by a good one was silently skipped"
 
-let test_typed_tree_is_clean () =
-  (* Typed-tier meta-test over the real tree.  Tests run in
-     _build/default/test, so the build tree — and every .cmt — is one
-     level up.  When the cmts are not there (sandboxed or partial build),
-     skip rather than fail: the CI lint job runs the same check against a
-     full build. *)
-  let cmt_root = ".." in
-  let have_cmts =
-    Sys.file_exists "../lib/util/.slpdas_util.objs/byte"
-  in
-  if not have_cmts then ()
-  else begin
-    let roots = repo_roots () in
-    if List.length roots < 3 then
-      Alcotest.fail "source tree not visible from the test sandbox";
-    let allowlist =
-      match Suppress.parse_allowlist (Driver.read_file "../.slp-lint-allowlist") with
-      | Ok a -> a
-      | Error e -> Alcotest.fail e
-    in
-    let config = { (config ()) with Driver.allowlist } in
-    let diags = Driver.run_tier config ~tier:Driver.Typed ~cmt_root ~roots in
-    (* Files whose cmt is missing fall back to in-process typing, which
-       cannot see opam libraries; ignore those load reports and hold the
-       actual analyses to zero findings. *)
-    let findings =
-      List.filter
-        (fun d -> not (String.equal d.Diagnostic.rule "typed-load"))
-        diags
-    in
-    Alcotest.(check (list string))
-      "typed tier: zero findings over lib/ bin/ bench/" []
-      (List.map Diagnostic.to_string findings)
-  end
-
 let test_seeded_violation_caught () =
-  (* The acceptance check from the issue, without mutating the tree:
-     engine.ml plus one stray self_init must flag at the right file. *)
-  let engine = Driver.read_file "../lib/sim/engine.ml" in
+  (* engine.ml plus one stray self_init must flag at the right file,
+     without mutating the tree: the unit is typed in-process against the
+     build's .cmi files, under the library's implicit open (kept on the
+     first line so line numbers do not move). *)
+  let engine = "open! Slpdas_sim " ^ Driver.read_file "../lib/sim/engine.ml" in
+  let check source =
+    Driver.check_source_typed
+      ~cmi_dirs:(Slpdas_lint.Cmt_loader.cmi_dirs_under cmt_root)
+      (config ()) ~path:"lib/sim/engine.ml" ~source
+  in
   let seeded = engine ^ "\nlet _seeded = Random.self_init ()\n" in
-  let diags =
-    Driver.check_source (config ()) ~path:"lib/sim/engine.ml" ~source:seeded
-  in
-  check_fires "seeded self_init" "random-stdlib" diags;
-  let clean =
-    Driver.check_source (config ()) ~path:"lib/sim/engine.ml" ~source:engine
-  in
-  check_clean "pristine engine.ml" clean
+  check_fires "seeded self_init" "random-stdlib" (check seeded);
+  check_clean "pristine engine.ml" (check engine)
 
 let () =
   Alcotest.run "lint"
@@ -666,7 +683,7 @@ let () =
           Alcotest.test_case "random-stdlib" `Quick test_random_stdlib;
           Alcotest.test_case "wall-clock" `Quick test_wall_clock;
           Alcotest.test_case "hashtbl-order" `Quick test_hashtbl_order;
-          Alcotest.test_case "domain-capture" `Quick test_domain_capture;
+          Alcotest.test_case "pool-escape" `Quick test_pool_escape;
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "poly-eq" `Quick test_poly_eq;
           Alcotest.test_case "hot-path-hashtbl" `Quick test_hot_path_hashtbl;
@@ -706,10 +723,10 @@ let () =
       ( "meta",
         [
           Alcotest.test_case "tree is clean" `Quick test_tree_is_clean;
-          Alcotest.test_case "unknown roots rejected" `Quick
-            test_unknown_root_rejected;
           Alcotest.test_case "typed tree is clean" `Quick
             test_typed_tree_is_clean;
+          Alcotest.test_case "unknown roots rejected" `Quick
+            test_unknown_root_rejected;
           Alcotest.test_case "seeded violation" `Quick test_seeded_violation_caught;
         ] );
     ]
